@@ -11,9 +11,9 @@
 CARGO ?= cargo
 OFFLINE = --offline --locked
 
-.PHONY: verify fmt-check clippy build test bench-build bench bench-gate smoke-bench-gate bench-serve bench-epoch smoke-epoch smoke-resume smoke-serve bench-shard smoke-shard clean-journal
+.PHONY: verify fmt-check clippy build test bench-build bench-check bench bench-gate smoke-bench-gate bench-serve bench-epoch smoke-epoch smoke-resume smoke-serve bench-shard smoke-shard clean-journal
 
-verify: fmt-check clippy build test bench-build smoke-resume smoke-serve smoke-bench-gate smoke-epoch smoke-shard
+verify: fmt-check clippy build test bench-build bench-check smoke-resume smoke-serve smoke-bench-gate smoke-epoch smoke-shard
 
 fmt-check:
 	$(CARGO) fmt --all -- --check
@@ -33,6 +33,14 @@ test:
 # would take too long — catches bench-only API drift.
 bench-build:
 	$(CARGO) bench $(OFFLINE) --no-run
+
+# The benchmark harness (perfbench/, see BENCHMARK.json) is a package of
+# its own that links the pipeline crates' public names. Building it here
+# makes a removed or re-signed name fail `make verify` instead of the
+# benchmark run. Same target directory as `perfbench/run.py`.
+bench-check:
+	CARGO_TARGET_DIR=.bench_build $(CARGO) build $(OFFLINE) --release \
+		--manifest-path perfbench/Cargo.toml
 
 # Machine-readable per-stage baseline: workers=1 vs workers=4 over a
 # small world, written to BENCH_pipeline.json (see README for the

@@ -13,8 +13,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ewhoring_bench::small_world;
 use ewhoring_core::extract::extract_ewhoring_threads;
+use ewhoring_core::features::OPEN_CUTOFF;
 use ewhoring_core::nsfv::{algorithm1_with_thresholds, ImageMeasures};
-use ewhoring_core::topcls::{classify_tops, heuristic_is_top};
+use ewhoring_core::topcls::{bootstrap_at, heuristic_is_top};
 use imagesim::validation::{build_validation_set, ValidationLabel};
 use linsvm::{
     LinearSvm, LogRegConfig, LogisticRegression, NaiveBayes, NaiveBayesConfig, SparseVec, SvmConfig,
@@ -31,15 +32,20 @@ fn bench_ablations(c: &mut Criterion) {
     group.sample_size(10);
 
     // --- hybrid vs halves ---
+    // The whole corpus as one slice, the way the top_classifier stage
+    // runs on a generated world.
     let mut rng = synthrand::rng_from_seed(3);
-    let (classifier, result) = classify_tops(
+    let model = bootstrap_at(
         &mut rng,
         &world.corpus,
         &world.catalog,
         &world.truth,
         &threads,
+        OPEN_CUTOFF,
         1,
     );
+    let decisions = model.decide_at(&world.corpus, &world.catalog, &threads, OPEN_CUTOFF, 1);
+    let result = model.tally(&threads, decisions.into_iter().map(|(ml, h, _)| (ml, h)));
     PRINT_ONCE.call_once(|| {
         eprintln!(
             "[ablation] hybrid F1 {:.3} | ML F1 {:.3} | heuristic F1 {:.3} | union {} = ml {} + heur {} - both {}",
@@ -56,7 +62,11 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             threads
                 .iter()
-                .filter(|&&t| classifier.ml_is_top(&world.corpus, &world.catalog, t))
+                .filter(|&&t| {
+                    model
+                        .svm
+                        .predict(&model.extractor.features(&world.corpus, &world.catalog, t))
+                })
                 .count()
         })
     });

@@ -1,11 +1,8 @@
-//! Shared fixtures for the benchmark suite, plus the `report` binary's
-//! implementation layers: the subcommand CLI ([`cli`]), the batch path
-//! ([`report_cmd`]), the pipeline service ([`serve`]) with its wire
-//! protocol ([`proto`]), and the load generator ([`loadgen`]).
-//!
-//! Worlds are expensive to generate, so benches share lazily-built
-//! fixtures at two scales: `small` (quick iteration benches) and `bench`
-//! (the ~10% world used for table/figure regeneration).
+//! The `report` binary's implementation layers: the subcommand CLI
+//! ([`cli`]), the batch path ([`report_cmd`]), the pipeline service
+//! ([`serve`]) with its wire protocol ([`proto`]), and the load
+//! generator ([`loadgen`]) — plus the lazily-built world the ablation
+//! bench shares.
 
 pub mod cli;
 pub mod loadgen;
@@ -13,43 +10,16 @@ pub mod proto;
 pub mod report_cmd;
 pub mod serve;
 
-use ewhoring_core::pipeline::{Pipeline, PipelineOptions, PipelineReport};
 use std::sync::OnceLock;
 use worldgen::{World, WorldConfig};
 
 /// Seed shared by all benchmark fixtures.
 pub const BENCH_SEED: u64 = 0xBE7C;
 
-/// A small world (~2% scale) for per-stage micro benches.
+/// A small world (~2% scale) for the ablation bench.
 pub fn small_world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
     WORLD.get_or_init(|| World::generate(WorldConfig::test_scale(BENCH_SEED)))
-}
-
-/// The ~10% world used for table/figure regeneration benches.
-pub fn bench_world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| World::generate(WorldConfig::bench_scale(BENCH_SEED)))
-}
-
-/// A pipeline report over [`small_world`], shared by figure benches.
-pub fn small_report() -> &'static PipelineReport {
-    static REPORT: OnceLock<PipelineReport> = OnceLock::new();
-    REPORT.get_or_init(|| {
-        Pipeline::new(PipelineOptions {
-            k_key_actors: 10,
-            ..PipelineOptions::default()
-        })
-        .run(small_world())
-    })
-}
-
-/// Pipeline options used across benches.
-pub fn bench_options() -> PipelineOptions {
-    PipelineOptions {
-        k_key_actors: 25,
-        ..PipelineOptions::default()
-    }
 }
 
 #[cfg(test)]
@@ -59,6 +29,5 @@ mod tests {
     #[test]
     fn fixtures_build() {
         assert!(!small_world().corpus.posts().is_empty());
-        assert!(!small_report().forums.is_empty());
     }
 }

@@ -42,8 +42,8 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
     };
     let t = Instant::now();
     // Streamed specs (`--epochs K`) never stage-journal — that path is
-    // batch-only — so they are routed first: either one fresh run
-    // through the stream code, or (`--incremental`) warm epoch
+    // batch-only — so they are routed first: either one fresh fold
+    // over the feed world, or (`--incremental`) warm epoch
     // advances on the engine, journal-checkpointed per epoch when
     // `--journal-dir` is given.
     let mut engine: Option<EpochEngine> = None;

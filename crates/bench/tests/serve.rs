@@ -240,8 +240,8 @@ fn sharded_run_over_the_wire_matches_and_reports_supervision() {
         .expect("supervision object");
     assert_eq!(
         supervision.get("shards_run").and_then(serde::Value::as_u64),
-        Some(6),
-        "3 shards through 2 supervised rounds (survey + tokenize)"
+        Some(3),
+        "3 shards through 1 supervised survey round"
     );
     assert_eq!(
         supervision

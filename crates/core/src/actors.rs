@@ -350,8 +350,8 @@ pub fn select_key_actors(inputs: &KeyActorInputs<'_>, k: usize, workers: usize) 
 }
 
 /// [`select_key_actors`] with a caller-supplied centrality vector (one
-/// entry per graph node). The epoch pipeline maintains that vector
-/// incrementally via warm-started power iteration; the batch path
+/// entry per graph node). The `actors` stage maintains that vector
+/// incrementally via warm-started power iteration; [`select_key_actors`]
 /// computes it fresh — both feed the identical selection below.
 pub fn select_key_actors_with_centrality(
     inputs: &KeyActorInputs<'_>,

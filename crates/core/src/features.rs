@@ -47,38 +47,13 @@ pub struct ThreadStats {
     pub top_kw: f64,
 }
 
+/// The cutoff that hides nothing: every `_at` form called with it sees
+/// the whole thread, so it equals its plain form.
+pub const OPEN_CUTOFF: Day = Day(u32::MAX);
+
 /// Extracts the statistical block for one thread.
 pub fn thread_stats(corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> ThreadStats {
-    let t = corpus.thread(thread);
-    let first = corpus.first_post(thread);
-    let body = first.map_or("", |p| p.body.as_str());
-
-    let mut cloud = 0.0;
-    let mut image = 0.0;
-    let mut other = 0.0;
-    for url in extract_urls(body) {
-        match catalog.lookup(&url.domain()) {
-            Some(site) if site.kind == websim::SiteKind::CloudStorage => cloud += 1.0,
-            Some(_) => image += 1.0,
-            None => other += 1.0,
-        }
-    }
-
-    let request = Lexicon::request();
-    let tutorial = Lexicon::tutorial();
-    let top = Lexicon::top();
-
-    ThreadStats {
-        replies: corpus.reply_count(thread) as f64,
-        cloud_links: cloud,
-        image_links: image,
-        thread_links: other,
-        first_post_len: body.len() as f64,
-        question_marks: count_char(&t.heading, '?') as f64,
-        request_kw: request.count_matches(&t.heading) as f64,
-        tutorial_kw: tutorial.count_matches(&t.heading) as f64,
-        top_kw: top.count_matches(&t.heading) as f64,
-    }
+    thread_stats_at(corpus, catalog, thread, OPEN_CUTOFF)
 }
 
 impl ThreadStats {
@@ -159,12 +134,7 @@ pub fn thread_stats_at(
 /// The tokenised text of a thread: heading plus first-post body (the
 /// classifier "parses thread headings and posts").
 pub fn thread_tokens(corpus: &Corpus, thread: ThreadId) -> Vec<String> {
-    let t = corpus.thread(thread);
-    let mut tokens = tokenize_with_stopwords(&t.heading);
-    if let Some(p) = corpus.first_post(thread) {
-        tokens.extend(tokenize_with_stopwords(&p.body));
-    }
-    tokens
+    thread_tokens_at(corpus, thread, OPEN_CUTOFF)
 }
 
 /// [`thread_tokens`] as of the end of day `cutoff`: the first-post body
@@ -194,23 +164,7 @@ impl FeatureExtractor {
     /// document-term matrix, and the IDF fit all run across `workers`
     /// threads (0 = all cores) with output identical to a serial fit.
     pub fn fit(corpus: &Corpus, train: &[ThreadId], workers: usize) -> FeatureExtractor {
-        let docs: Vec<Vec<String>> =
-            crate::par::par_map(train, workers, |&t| thread_tokens(corpus, t));
-        Self::fit_from_docs(&docs, workers)
-    }
-
-    /// Fits vocabulary and IDF on pre-tokenised documents, one per
-    /// training thread **in training order**. This is the merge seam for
-    /// sharded runs: shard workers tokenise their contiguous span of the
-    /// training set, the coordinator concatenates the per-shard document
-    /// lists in shard order (= training order), and this fit — vocabulary
-    /// union, document-term matrix, IDF — is then byte-identical to a
-    /// single-process [`FeatureExtractor::fit`] over the same threads.
-    pub fn fit_from_docs(docs: &[Vec<String>], workers: usize) -> FeatureExtractor {
-        let vocab = Vocabulary::build(docs.iter().map(|d| d.iter()), 2);
-        let dtm = textkit::dtm::DocTermMatrix::from_docs_par(&vocab, docs, workers);
-        let tfidf = TfIdf::fit_par(&dtm, workers);
-        FeatureExtractor { vocab, tfidf }
+        Self::fit_at(corpus, train, OPEN_CUTOFF, workers)
     }
 
     /// [`FeatureExtractor::fit`] as of the end of day `cutoff`: the
@@ -237,11 +191,7 @@ impl FeatureExtractor {
 
     /// Full feature vector of one thread: statistical block + TF-IDF block.
     pub fn features(&self, corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> SparseVec {
-        let stats = thread_stats(corpus, catalog, thread).to_sparse();
-        let counts = self.vocab.count(&thread_tokens(corpus, thread));
-        let tfidf_row = self.tfidf.transform_row(&counts);
-        let text = SparseVec::from_sorted(tfidf_row);
-        stats.concat(&text, STAT_DIM)
+        self.features_at(corpus, catalog, thread, OPEN_CUTOFF)
     }
 
     /// [`FeatureExtractor::features`] as of the end of day `cutoff` —
@@ -255,11 +205,18 @@ impl FeatureExtractor {
         thread: ThreadId,
         cutoff: Day,
     ) -> SparseVec {
-        let stats = thread_stats_at(corpus, catalog, thread, cutoff).to_sparse();
-        let counts = self.vocab.count(&thread_tokens_at(corpus, thread, cutoff));
-        let tfidf_row = self.tfidf.transform_row(&counts);
-        let text = SparseVec::from_sorted(tfidf_row);
-        stats.concat(&text, STAT_DIM)
+        self.row(
+            &thread_stats_at(corpus, catalog, thread, cutoff),
+            &thread_tokens_at(corpus, thread, cutoff),
+        )
+    }
+
+    /// The feature vector of a thread from its statistical block and its
+    /// tokens, for callers that also need those inputs on their own.
+    pub(crate) fn row(&self, stats: &ThreadStats, tokens: &[String]) -> SparseVec {
+        let counts = self.vocab.count(tokens);
+        let text = SparseVec::from_sorted(self.tfidf.transform_row(&counts));
+        stats.to_sparse().concat(&text, STAT_DIM)
     }
 
     /// Feature vectors for many threads across `workers` threads
@@ -354,21 +311,14 @@ mod tests {
         assert!(fv.entries().iter().any(|&(i, _)| i >= STAT_DIM));
     }
 
-    /// Cutoff semantics: with the cutoff past every post the `_at`
-    /// variants equal the plain ones; before the first post only the
-    /// heading contributes; in between, replies are truncated.
+    /// Cutoff semantics: before the first post only the heading
+    /// contributes. (Past the last post the `_at` forms equal the plain
+    /// ones: `tests/cutoff_forms.rs`.)
     #[test]
     fn cutoff_variants_window_the_thread() {
         let c = corpus();
         let catalog = SiteCatalog::new();
         let top = c.threads()[0].id;
-        let late = Day::from_ymd(2020, 1, 1);
-        assert_eq!(
-            thread_stats_at(&c, &catalog, top, late),
-            thread_stats(&c, &catalog, top)
-        );
-        assert_eq!(thread_tokens_at(&c, top, late), thread_tokens(&c, top),);
-
         let early = Day::from_ymd(2013, 12, 31);
         let s = thread_stats_at(&c, &catalog, top, early);
         assert_eq!(s.replies, 0.0, "no posts visible before creation");
@@ -378,12 +328,6 @@ mod tests {
         assert_eq!(
             thread_tokens_at(&c, top, early),
             tokenize_with_stopwords(&c.thread(top).heading)
-        );
-
-        let ex = FeatureExtractor::fit(&c, &[top], 1);
-        assert_eq!(
-            ex.features_at(&c, &catalog, top, late).entries(),
-            ex.features(&c, &catalog, top).entries()
         );
     }
 

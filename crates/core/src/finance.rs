@@ -12,7 +12,6 @@
 //! * **Currency Exchange.** `[H]/[W]` headings of CE threads opened by
 //!   ≥50-post eWhoring actors after they started eWhoring → Table 7.
 
-use crate::crawl::snowball_whitelist;
 use crate::nsfv::ImageMeasures;
 use crimebb::{ActorId, BoardCategory, Corpus, PostId, ThreadId};
 use safety::{HostingRegion, SafetyGate, ScreenOutcome, SiteType};
@@ -87,131 +86,24 @@ pub struct EarningsAnalysis {
     pub monthly_platforms: Vec<(i32, usize, usize)>,
 }
 
-/// Harvests and annotates proof-of-earnings images.
+/// Harvests and annotates proof-of-earnings images: a pure sequential
+/// fold over the post list, resumable at any post index.
 ///
-/// `ewhoring_threads` is the stage-1 extraction; the Bragging Rights board
-/// is pulled from the corpus directly. The safety gate screens every
-/// download before anything else happens to it.
-pub fn harvest_earnings(
-    world: &World,
-    gate: &SafetyGate,
-    ewhoring_threads: &[ThreadId],
-) -> EarningsHarvest {
-    let corpus = &world.corpus;
-    let mut harvest = EarningsHarvest::default();
-
-    // 1. Candidate threads: earnings headings among eWhoring threads …
-    let mut threads: Vec<ThreadId> = ewhoring_threads
-        .iter()
-        .copied()
-        .filter(|&t| heading_is_earnings(&corpus.thread(t).heading))
-        .collect();
-    // … plus the Bragging Rights board.
-    threads.extend(corpus.threads_in_category(world.hackforums, BoardCategory::BraggingRights));
-    threads.sort_unstable();
-    threads.dedup();
-    harvest.earnings_threads = threads.len();
-
-    // 2. Posts with image-sharing links in those threads.
-    let mut candidate_posts: Vec<PostId> = Vec::new();
-    for &t in &threads {
-        candidate_posts.extend_from_slice(corpus.posts_in_thread(t));
-    }
-    // 3. Plus "proof" + trading-term posts anywhere in the eWhoring set.
-    let thread_set: HashSet<ThreadId> = threads.iter().copied().collect();
-    for &t in ewhoring_threads {
-        if thread_set.contains(&t) {
-            continue;
-        }
-        for &p in corpus.posts_in_thread(t) {
-            if post_is_proof_offer(&corpus.post(p).body) {
-                candidate_posts.push(p);
-            }
-        }
-    }
-
-    // 4. Extract unique image-sharing URLs.
-    let whitelist = snowball_whitelist(corpus, &world.catalog, &threads);
-    let whiteset: HashSet<&str> = whitelist.iter().map(String::as_str).collect();
-    let mut seen_urls: HashSet<textkit::Url> = HashSet::new();
-    let mut links: Vec<(textkit::Url, Day)> = Vec::new();
-    for &p in &candidate_posts {
-        let post = corpus.post(p);
-        let mut any = false;
-        for url in extract_urls(&post.body) {
-            let domain = url.domain();
-            let is_image_host = world
-                .catalog
-                .lookup(&domain)
-                .is_some_and(|s| s.kind == SiteKind::ImageSharing);
-            if is_image_host && whiteset.contains(domain.as_str()) && seen_urls.insert(url.clone())
-            {
-                links.push((url, post.date));
-                any = true;
-            }
-        }
-        if any {
-            harvest.posts_with_links += 1;
-        }
-    }
-    harvest.unique_urls = links.len();
-
-    // 5. Crawl, screen, classify, annotate.
-    for (url, posted) in links {
-        let image: StoredImage = match world.web.fetch(&world.catalog, &url) {
-            FetchOutcome::Image(img) => img,
-            FetchOutcome::RemovalBanner(img) => img,
-            _ => continue,
-        };
-        harvest.downloaded += 1;
-        let m = ImageMeasures::of(&image.render());
-        // Safety first — same precautions as the pack pipeline.
-        if let ScreenOutcome::ReportedAndDeleted { .. } = gate.screen(
-            &m.hash,
-            &url.to_https(),
-            posted,
-            HostingRegion::NorthAmerica,
-            SiteType::ImageSharing,
-        ) {
-            harvest.filtered_csam += 1;
-            continue;
-        }
-        if !m.is_sfv() {
-            harvest.filtered_nsfv += 1;
-            continue;
-        }
-        harvest.analysed += 1;
-        // Manual annotation (the §5.1 human step).
-        match world.annotate_proof(&image.spec) {
-            Some(info) => {
-                let usd = world.fx.to_usd(info.amount, info.currency, info.taken);
-                harvest.proofs.push(ProofRecord {
-                    actor: info.actor,
-                    platform: info.platform,
-                    usd,
-                    transactions: info.transactions,
-                    month_index: info.taken.month_index(),
-                });
-            }
-            None => harvest.not_proof += 1,
-        }
-    }
-    harvest
-}
-
-/// Streaming variant of [`harvest_earnings`]: a pure sequential fold
-/// over the global post timeline, resumable at any post index.
+/// `ewhoring_threads` is the stage-1 extraction; the Bragging Rights
+/// board is pulled from the corpus directly. Candidate posts are those
+/// of earnings threads (earnings headings among eWhoring threads, plus
+/// the Bragging Rights board) and "proof" + trading-term posts anywhere
+/// in the eWhoring set. The hosting whitelist snowballs *at sight*: a
+/// catalogue-known domain posted in an earnings thread joins it as its
+/// post is folded. The safety gate screens every download before
+/// anything else happens to it.
 ///
-/// Posts carry dense chronological ids in streaming mode, so folding
-/// `carry.cursor..post_count` each epoch visits every post exactly once
-/// and in the same order whether the carry is warm (epoch slices) or
-/// fresh (one pass) — fold composition is what makes the warm advance
-/// byte-identical to the full recompute. Differences from the batch
-/// path, which keeps its own code: candidate posts arrive in timeline
-/// order rather than thread-major order, and the hosting whitelist
-/// snowballs *at sight* (a catalogue-known domain posted in an earnings
-/// thread joins the whitelist as its post is folded) instead of via the
-/// batch fixpoint sweep.
+/// Folding `carry.cursor..post_count` visits every post exactly once, in
+/// post-id order. On a feed world ids are chronological, so an epoch
+/// advance folds exactly its slice, and warm and fresh carries traverse
+/// the identical sequence — fold composition is what makes the warm
+/// advance byte-identical to the full recompute. On the world as
+/// generated ids run forum by forum, and one fresh fold covers them all.
 pub fn harvest_earnings_stream(
     world: &World,
     gate: &SafetyGate,
@@ -278,12 +170,12 @@ pub fn harvest_earnings_stream(
                 continue;
             }
             any = true;
-            carry.unique_urls += 1;
+            carry.harvest.unique_urls += 1;
             let image: StoredImage = match world.web.fetch(&world.catalog, &url) {
                 FetchOutcome::Image(img) | FetchOutcome::RemovalBanner(img) => img,
                 _ => continue,
             };
-            carry.downloaded += 1;
+            carry.harvest.downloaded += 1;
             let m = ImageMeasures::of(&image.render());
             if let ScreenOutcome::ReportedAndDeleted { .. } = gate.screen(
                 &m.hash,
@@ -292,18 +184,18 @@ pub fn harvest_earnings_stream(
                 HostingRegion::NorthAmerica,
                 SiteType::ImageSharing,
             ) {
-                carry.filtered_csam += 1;
+                carry.harvest.filtered_csam += 1;
                 continue;
             }
             if !m.is_sfv() {
-                carry.filtered_nsfv += 1;
+                carry.harvest.filtered_nsfv += 1;
                 continue;
             }
-            carry.analysed += 1;
+            carry.harvest.analysed += 1;
             match world.annotate_proof(&image.spec) {
                 Some(info) => {
                     let usd = world.fx.to_usd(info.amount, info.currency, info.taken);
-                    carry.proofs.push(ProofRecord {
+                    carry.harvest.proofs.push(ProofRecord {
                         actor: info.actor,
                         platform: info.platform,
                         usd,
@@ -311,11 +203,11 @@ pub fn harvest_earnings_stream(
                         month_index: info.taken.month_index(),
                     });
                 }
-                None => carry.not_proof += 1,
+                None => carry.harvest.not_proof += 1,
             }
         }
         if any {
-            carry.posts_with_links += 1;
+            carry.harvest.posts_with_links += 1;
         }
     }
     carry.cursor = n;
@@ -328,7 +220,7 @@ pub fn harvest_earnings_stream(
     let threads = corpus.threads();
     for th in &threads[carry.thread_cursor..] {
         if is_earnings_thread(th.id) {
-            carry.earnings_threads += 1;
+            carry.harvest.earnings_threads += 1;
         }
         if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
             carry.ce_threads.push((th.author, th.id));
@@ -336,19 +228,9 @@ pub fn harvest_earnings_stream(
     }
     carry.thread_cursor = threads.len();
 
-    EarningsHarvest {
-        earnings_threads: carry.earnings_threads,
-        posts_with_links: carry.posts_with_links,
-        unique_urls: carry.unique_urls,
-        downloaded: carry.downloaded,
-        filtered_nsfv: carry.filtered_nsfv,
-        filtered_csam: carry.filtered_csam,
-        analysed: carry.analysed,
-        not_proof: carry.not_proof,
-        // Carried unfiltered: the per-run corruption plan is applied to
-        // this copy by the stage, never to the carry itself.
-        proofs: carry.proofs.clone(),
-    }
+    // Carried unfiltered: the per-run corruption plan is applied to
+    // this copy by the stage, never to the carry itself.
+    carry.harvest.clone()
 }
 
 /// Platform display label (Figure 3 legend).
@@ -362,7 +244,7 @@ pub fn platform_label(p: imagesim::PaymentPlatform) -> &'static str {
 }
 
 /// Running earnings aggregates (§5.2): the fold form of
-/// [`analyse_earnings`], carried across epochs in streaming mode.
+/// [`analyse_earnings`], carried across epoch advances.
 ///
 /// [`EarningsAgg::fold`] consumes proofs in record order; the per-actor
 /// USD sums therefore see their `+=` operands in the identical sequence
@@ -464,9 +346,8 @@ impl EarningsAgg {
 }
 
 /// Aggregates harvested proofs into the §5.2 numbers: a one-shot
-/// [`EarningsAgg`] fold — the identical code path the streaming carry
-/// folds through, which is the fold == batch equivalence by
-/// construction.
+/// [`EarningsAgg`] fold — the identical code path the carried aggregate
+/// folds through, so the two agree by construction.
 pub fn analyse_earnings(harvest: &EarningsHarvest) -> EarningsAnalysis {
     let mut agg = EarningsAgg::default();
     agg.fold(&harvest.proofs);
@@ -536,17 +417,37 @@ pub fn analyse_currency_exchange(
     analysis
 }
 
-/// Streaming form of [`analyse_currency_exchange`]: reads the carried
+/// The Currency Exchange threads of a carried ledger that pass the
+/// Table 7 gates: the actor is a HackForums member with more than 50
+/// eWhoring posts, and the thread is on HackForums and started on or
+/// after the actor's first eWhoring post. `ew_posts` and `first_ew` are
+/// the carried per-actor tallies, indexed by actor id. The gates are
+/// re-checked at assembly because an actor can cross the post threshold
+/// slices after opening a thread.
+pub(crate) fn qualifying_ce_threads<'a>(
+    corpus: &'a Corpus,
+    hackforums: crimebb::ForumId,
+    ew_posts: &'a [u32],
+    first_ew: &'a [Day],
+    ledger: &'a [(ActorId, ThreadId)],
+) -> impl Iterator<Item = (ActorId, ThreadId)> + 'a {
+    ledger.iter().copied().filter(move |&(actor, t)| {
+        let i = actor.0 as usize;
+        ew_posts[i] > 50
+            && corpus.actor(actor).forum == hackforums
+            // `threads_started_by` only looks inside the actor's own forum.
+            && corpus.forum_of_thread(t) == hackforums
+            && corpus.thread(t).created >= first_ew[i]
+    })
+}
+
+/// Fold form of [`analyse_currency_exchange`]: reads the carried
 /// per-actor eWhoring tallies and the CE-thread ledger instead of
-/// rescanning every post in the extraction set.
-///
-/// Qualification (>50 eWhoring posts, HackForums membership, thread
-/// started on or after the actor's first eWhoring post) is re-checked at
-/// assembly because an actor can cross the post threshold epochs after
-/// opening a CE thread. Every output is a count keyed by a `BTreeMap`
-/// label, so assembly order cannot leak into the artifact — the result
-/// equals the batch rescan whenever the carried tallies match the
-/// corpus, which the fold in [`harvest_earnings_stream`] guarantees.
+/// rescanning every post in the extraction set. Every output is a count
+/// keyed by a `BTreeMap` label, so assembly order cannot leak into the
+/// artifact — the result equals the full rescan whenever the carried
+/// tallies match the corpus, which the fold in
+/// [`harvest_earnings_stream`] guarantees.
 pub fn analyse_currency_exchange_stream(
     corpus: &Corpus,
     hackforums: crimebb::ForumId,
@@ -554,18 +455,13 @@ pub fn analyse_currency_exchange_stream(
 ) -> CurrencyExchangeAnalysis {
     let mut analysis = CurrencyExchangeAnalysis::default();
     let mut counted: HashSet<ActorId> = HashSet::new();
-    for &(actor, t) in &carry.ce_threads {
-        let i = actor.0 as usize;
-        if carry.ew_posts_by_actor[i] <= 50 || corpus.actor(actor).forum != hackforums {
-            continue;
-        }
-        // `threads_started_by` only looks inside the actor's own forum.
-        if corpus.forum_of_thread(t) != hackforums {
-            continue;
-        }
-        if corpus.thread(t).created < carry.first_ew_by_actor[i] {
-            continue;
-        }
+    for (actor, t) in qualifying_ce_threads(
+        corpus,
+        hackforums,
+        &carry.ew_posts_by_actor,
+        &carry.first_ew_by_actor,
+        &carry.ce_threads,
+    ) {
         counted.insert(actor);
         analysis.threads += 1;
         let (offered, wanted) = match parse_hw_heading(&corpus.thread(t).heading) {
@@ -595,12 +491,18 @@ mod tests {
         World::generate(WorldConfig::test_scale(0xF1A))
     }
 
+    /// One fresh fold over the whole world, as the stage runs it.
+    fn harvest(w: &World) -> EarningsHarvest {
+        let set = extract_ewhoring_threads(&w.corpus);
+        let gate = SafetyGate::new(w.hashlist.clone());
+        let mut carry = crate::pipeline::epoch::FinanceCarry::default();
+        harvest_earnings_stream(w, &gate, &set.all_threads(), &mut carry)
+    }
+
     #[test]
     fn harvest_funnel_has_paper_shape() {
         let w = world();
-        let set = extract_ewhoring_threads(&w.corpus);
-        let gate = SafetyGate::new(w.hashlist.clone());
-        let h = harvest_earnings(&w, &gate, &set.all_threads());
+        let h = harvest(&w);
         assert!(h.earnings_threads > 0);
         assert!(h.unique_urls > 0);
         assert!(h.downloaded > 0 && h.downloaded <= h.unique_urls);
@@ -624,9 +526,7 @@ mod tests {
             scale: 0.06,
             ..worldgen::WorldConfig::test_scale(0xF1A)
         });
-        let set = extract_ewhoring_threads(&w.corpus);
-        let gate = SafetyGate::new(w.hashlist.clone());
-        let h = harvest_earnings(&w, &gate, &set.all_threads());
+        let h = harvest(&w);
         let a = analyse_earnings(&h);
         assert!(a.actors > 0);
         // Paper: mean US$774 per actor; heavy tail.
@@ -657,9 +557,7 @@ mod tests {
     #[test]
     fn earnings_agg_split_fold_matches_one_shot() {
         let w = world();
-        let set = extract_ewhoring_threads(&w.corpus);
-        let gate = SafetyGate::new(w.hashlist.clone());
-        let h = harvest_earnings(&w, &gate, &set.all_threads());
+        let h = harvest(&w);
         assert!(h.proofs.len() >= 3, "need proofs to split");
         let mut whole = EarningsAgg::default();
         whole.fold(&h.proofs);
@@ -683,9 +581,7 @@ mod tests {
     #[test]
     fn agc_and_paypal_dominate_platforms() {
         let w = world();
-        let set = extract_ewhoring_threads(&w.corpus);
-        let gate = SafetyGate::new(w.hashlist.clone());
-        let a = analyse_earnings(&harvest_earnings(&w, &gate, &set.all_threads()));
+        let a = analyse_earnings(&harvest(&w));
         let agc = a.platform_counts.get("AGC").copied().unwrap_or(0);
         let pp = a.platform_counts.get("PayPal").copied().unwrap_or(0);
         let btc = a.platform_counts.get("BTC").copied().unwrap_or(0);
@@ -717,9 +613,7 @@ mod tests {
         // Figure 2 (right): actors reporting more earnings post more
         // proofs.
         let w = world();
-        let set = extract_ewhoring_threads(&w.corpus);
-        let gate = SafetyGate::new(w.hashlist.clone());
-        let a = analyse_earnings(&harvest_earnings(&w, &gate, &set.all_threads()));
+        let a = analyse_earnings(&harvest(&w));
         if a.per_actor.len() < 10 {
             return;
         }

@@ -347,12 +347,14 @@ mod tests {
     #[test]
     fn payment_screening_covers_most_revenue_in_generated_worlds() {
         use crate::extract::extract_ewhoring_threads;
-        use crate::finance::harvest_earnings;
+        use crate::finance::harvest_earnings_stream;
+        use crate::pipeline::epoch::FinanceCarry;
         use safety::SafetyGate;
         let world = World::generate(WorldConfig::test_scale(0x90A1));
         let threads = extract_ewhoring_threads(&world.corpus).all_threads();
         let gate = SafetyGate::new(world.hashlist.clone());
-        let harvest = harvest_earnings(&world, &gate, &threads);
+        let harvest =
+            harvest_earnings_stream(&world, &gate, &threads, &mut FinanceCarry::default());
         if harvest.proofs.len() < 10 {
             return;
         }

@@ -282,8 +282,7 @@ impl RunCache {
     }
 
     /// The compute path behind a cache miss. Stream specs always run
-    /// fresh through the stream code path over the feed-normalized
-    /// world (per-stage journaling is batch-only; incremental serving
+    /// a fresh fold over the feed-normalized world (per-stage journaling is batch-only; incremental serving
     /// is the epoch engine's job — see the serve layer's `advance`).
     fn compute(&self, spec: &RunSpec) -> Result<Arc<PipelineReport>, StageError> {
         let world = World::generate(spec.world_config());

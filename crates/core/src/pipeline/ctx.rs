@@ -8,7 +8,7 @@
 use super::corruption::{CorruptionPlan, QuarantineLedger};
 use super::{
     ForumRow, ImageFunnel, PipelineOptions, PipelineReport, SafetyFindings, StageHealth,
-    StageTiming,
+    StageTiming, StreamSpec,
 };
 use crate::actors::{CohortRow, GroupProfile, InterestEvolution, KeyActors};
 use crate::crawl::{CrawlResult, CrawlStats};
@@ -316,6 +316,15 @@ pub(crate) fn require<'a, T>(slot: &'a Option<T>, name: &'static str) -> Result<
     slot.as_ref().ok_or(StageError::MissingArtifact(name))
 }
 
+/// The carry a stage folds into, or a [`StageError::MissingArtifact`] if
+/// a caller took it out of the context. Free function for the same
+/// reason as [`require`]: stages borrow it next to other fields.
+pub(crate) fn carry_mut(
+    slot: &mut Option<super::epoch::EpochCarry>,
+) -> Result<&mut super::epoch::EpochCarry, StageError> {
+    slot.as_mut().ok_or(StageError::MissingArtifact("carry"))
+}
+
 /// The artifact store carried across the stage graph.
 ///
 /// Stages read inputs through the accessor methods (or [`require`] when
@@ -341,15 +350,13 @@ pub struct StageCtx<'w> {
     pub(super) timings: Vec<StageTiming>,
     pub(super) items: usize,
     pub(super) health: Vec<StageHealth>,
-    /// Streaming mode only: the inter-epoch carry state. `Some` exactly
-    /// when `options.stream` is set; stages fork on it, take it, update
-    /// it, and put it back so the driver can hand it to the next epoch.
-    /// Always `None` in batch mode — batch stages never look at it.
+    /// The fold state every stage computes through. [`StageCtx::new`]
+    /// starts it fresh; the epoch engine swaps in the warm carry of the
+    /// previous epoch. Each stage takes, updates, and puts back only its
+    /// own field, so a resumed run (fresh carry, earlier stages loaded
+    /// from the journal) computes exactly what an uninterrupted one
+    /// does. `None` only after a caller took it out.
     pub carry: Option<super::epoch::EpochCarry>,
-    /// Sharded mode only: the merged per-shard actor partials (fold
-    /// counters, interaction edges, CE ledger) the shard coordinator
-    /// hands to the `actors` stage. Always `None` in batch mode.
-    pub shard_actors: Option<super::shard::ShardActorPartials>,
     /// Supervision counters (shards run / restarted / quarantined);
     /// all zero on an unsharded run.
     pub supervision: super::Supervision,
@@ -482,8 +489,7 @@ impl<'w> StageCtx<'w> {
             timings: Vec::new(),
             items: 0,
             health: Vec::new(),
-            carry: options.stream.map(|_| super::epoch::EpochCarry::default()),
-            shard_actors: None,
+            carry: Some(super::epoch::EpochCarry::default()),
             supervision: super::Supervision::default(),
             extraction: None,
             all_threads: None,
@@ -509,6 +515,13 @@ impl<'w> StageCtx<'w> {
             group_profiles: None,
             interests: None,
         }
+    }
+
+    /// The slices the stages fold: the streamed spec, or one slice over
+    /// the whole timeline of the world as generated
+    /// ([`StreamSpec::WHOLE`]) when the run has none.
+    pub(crate) fn slices(&self) -> StreamSpec {
+        self.options.stream.unwrap_or(StreamSpec::WHOLE)
     }
 
     /// Records how many items the current stage processed (shown in its

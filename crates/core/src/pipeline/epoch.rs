@@ -1,10 +1,12 @@
-//! Inter-epoch carry state and the epoch engine (streaming mode).
+//! The fold state every stage computes through, and the epoch engine.
 //!
-//! Streaming mode slices the forum feed into `K` calendar epochs
-//! ([`worldgen::Feed`]) and re-runs the pipeline after each slice lands.
-//! The expensive artifacts are not recomputed from scratch: every hot
-//! stage keeps a small, serialisable **carry** here and folds only the
-//! epoch's delta into it —
+//! Every run folds slices of the timeline into an [`EpochCarry`]: each
+//! hot stage keeps a small, serialisable carry here and folds only the
+//! slice's delta into it. A plain run is a fresh carry folded over one
+//! slice covering the whole timeline of the world as generated
+//! ([`StreamSpec::WHOLE`]); streaming mode slices the forum feed into
+//! `K` calendar epochs ([`worldgen::Feed`]) and an epoch advance folds a
+//! warm carry over its delta —
 //!
 //! * `top_classifier`: the bootstrap-frozen model (trained once at the
 //!   first boundary), first-sight decisions per thread, and an
@@ -13,9 +15,9 @@
 //! * `measure_images`: a memo of every `(spec, transform)` pair already
 //!   measured (measures are pure, so memoised values are exact);
 //! * `nsfv`: the validation-set evaluation (pure in the seed);
-//! * `finance`: a fold cursor over the global post timeline plus the
-//!   funnel counters, whitelist, URL dedup set, proof records, running
-//!   §5.2 earnings aggregates, and the Table 7 per-actor tallies and
+//! * `finance`: a fold cursor over the post list plus the funnel
+//!   counters, whitelist, URL dedup set, proof records, running §5.2
+//!   earnings aggregates, and the Table 7 per-actor tallies and
 //!   CE-thread ledger (folded via a thread cursor);
 //! * `provenance`: a memo of every reverse-search outcome keyed
 //!   `(robust hash, post day)` — the reverse index and the Wayback
@@ -24,21 +26,28 @@
 //!   warm-started eigenvector-centrality vector, and the per-actor
 //!   metric counters behind Table 8 / Figure 4.
 //!
+//! Each stage reads and writes only its own field, so a run resumed
+//! from the stage journal (fresh carry, earlier stages loaded) computes
+//! what an uninterrupted run does.
+//!
 //! The correctness contract is **epoch equivalence**: running the same
-//! stream code path with a fresh ([`EpochCarry::default`]) carry on the
-//! epoch-`e` world produces byte-identical artifacts to advancing a warm
-//! carry through epochs `1..=e`. Each stage's carry is designed so the
-//! warm fold and the fresh fold traverse the same data in the same
-//! order; the gate lives in `tests/determinism.rs`.
+//! fold with a fresh ([`EpochCarry::default`]) carry on the epoch-`e`
+//! world produces byte-identical artifacts to advancing a warm carry
+//! through epochs `1..=e`. Each stage's carry is designed so the warm
+//! fold and the fresh fold traverse the same data in the same order;
+//! the gate lives in `tests/determinism.rs`.
 //!
 //! [`EpochEngine`] owns the feed, the growing world, and the carry, and
-//! journals the carry at every epoch boundary (PR 4's record format), so
-//! a killed stream resumes from the last completed epoch.
+//! journals the carry at every epoch boundary (the stage journal's
+//! record format), so a killed stream resumes from the last completed
+//! epoch.
+//!
+//! [`StreamSpec::WHOLE`]: super::StreamSpec::WHOLE
 
 use super::journal::{Journal, LoadOutcome, StageRecord};
 use super::{Pipeline, PipelineOptions, PipelineReport, StageError, StreamSpec};
 use crate::actors::ActorFold;
-use crate::finance::{EarningsAgg, ProofRecord};
+use crate::finance::{EarningsAgg, EarningsHarvest};
 use crate::nsfv::{ImageMeasures, NsfvValidation};
 use crate::provenance::QueryOutcome;
 use crate::topcls::{BootstrapModel, StreamIndexStats};
@@ -54,8 +63,8 @@ use textkit::Url;
 use websim::StoredImage;
 use worldgen::{Feed, World};
 
-/// Everything the stream stages keep between epoch advances. `Default`
-/// is the fresh carry: running with it *is* the full recompute.
+/// Everything the stages keep between slices. `Default` is the fresh
+/// carry: running with it *is* the full recompute.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EpochCarry {
     /// `top_classifier` carry.
@@ -149,10 +158,11 @@ pub struct MeasureCarry {
     pub memo: Vec<(StoredImage, ImageMeasures)>,
 }
 
-/// Carry of the `finance` stage: a pure fold over the global post
-/// timeline. Posts are processed exactly once, in post-id (= date)
-/// order, so warm and fresh carriers traverse the identical sequence
-/// and fold composition gives equivalence.
+/// Carry of the `finance` stage: a pure fold over the post list. Posts
+/// are processed exactly once, in post-id order — chronological on a
+/// feed world, forum by forum on the world as generated — so warm and
+/// fresh carriers traverse the identical sequence and fold composition
+/// gives equivalence.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FinanceCarry {
     /// Posts `0..cursor` are folded in.
@@ -160,10 +170,6 @@ pub struct FinanceCarry {
     /// Threads `0..thread_cursor` are folded into the earnings-thread
     /// tally and the CE-thread ledger below.
     pub thread_cursor: usize,
-    /// Earnings-query threads seen so far (the funnel header): board,
-    /// forum, and heading are fixed at creation, so counting each
-    /// thread once equals a full rescan at any epoch.
-    pub earnings_threads: usize,
     /// Per-actor posts in eWhoring threads (Table 7 qualification),
     /// indexed by actor id.
     pub ew_posts_by_actor: Vec<u32>,
@@ -184,25 +190,13 @@ pub struct FinanceCarry {
     pub whiteset: HashSet<String>,
     /// URLs already counted (global dedup).
     pub seen_urls: HashSet<Url>,
-    /// Posts that contributed at least one accepted link.
-    pub posts_with_links: usize,
-    /// Accepted unique URLs.
-    pub unique_urls: usize,
-    /// Successful downloads.
-    pub downloaded: usize,
-    /// Downloads excluded by the NSFV filter.
-    pub filtered_nsfv: usize,
-    /// Downloads flagged by the safety gate.
-    pub filtered_csam: usize,
-    /// Images reaching manual annotation.
-    pub analysed: usize,
-    /// Annotated images that were not proofs (pre-corruption count; the
-    /// per-run corruption filter adds its quarantines on top).
-    pub not_proof: usize,
-    /// Verified proof records, in fold order, *unfiltered* — the run's
+    /// The §5.1 funnel so far. `earnings_threads` counts each thread
+    /// once at creation (board, forum, and heading are fixed then, so
+    /// that equals a full rescan at any slice); `proofs` are the
+    /// verified proof records in fold order, *unfiltered* — the run's
     /// corruption plan is applied to a copy each run so carried state
     /// never depends on the plan.
-    pub proofs: Vec<ProofRecord>,
+    pub harvest: EarningsHarvest,
 }
 
 /// Carry of the `provenance` stage: every reverse-search outcome ever
@@ -245,7 +239,7 @@ pub struct ActorsCarry {
 
 /// Materializes the world a streamed spec runs over: the time-ordered
 /// feed view advanced to `spec.upto` epochs. The feed re-assigns dense
-/// chronological thread/post ids, so a batch (non-incremental) run of a
+/// chronological thread/post ids, so a non-incremental run of a
 /// streamed spec MUST go through this — running the raw generated world
 /// produces id-shifted artifacts that can never match engine output.
 pub fn stream_world(world: World, spec: StreamSpec) -> World {
@@ -253,7 +247,7 @@ pub fn stream_world(world: World, spec: StreamSpec) -> World {
 }
 
 /// Drives a world through its epochs: applies each feed slice, runs the
-/// stream pipeline with the warm carry, and (optionally) checkpoints
+/// pipeline with the warm carry, and (optionally) checkpoints
 /// the carry at every boundary so a killed stream resumes from the last
 /// completed epoch instead of epoch 0.
 pub struct EpochEngine {
@@ -349,8 +343,8 @@ impl EpochEngine {
         &self.carry
     }
 
-    /// Applies the next feed slice and runs the stream pipeline with
-    /// the warm carry: the O(delta) advance. Checkpoints the refreshed
+    /// Applies the next feed slice and runs the pipeline with the warm
+    /// carry: the O(delta) advance. Checkpoints the refreshed
     /// carry when a journal is attached. A hard stage failure poisons
     /// the engine (the world has already advanced); recover by
     /// rebuilding via [`EpochEngine::with_journal`].
@@ -404,8 +398,8 @@ impl EpochEngine {
         Ok(last)
     }
 
-    /// Full recompute at the current epoch: the identical stream code
-    /// path run with a fresh carry over the same world. This is the
+    /// Full recompute at the current epoch: the identical fold run with
+    /// a fresh carry over the same world. This is the
     /// equivalence partner of the warm advance (and the baseline the
     /// `bench epoch` speedup gate measures against).
     pub fn fresh_report(&self) -> Result<PipelineReport, StageError> {
@@ -445,7 +439,7 @@ mod tests {
             .seen_urls
             .insert(Url::new("i.imgur.com", "/x"));
         carry.finance.thread_cursor = 17;
-        carry.finance.earnings_threads = 4;
+        carry.finance.harvest.earnings_threads = 4;
         carry.finance.ew_posts_by_actor = vec![0, 55, 3];
         carry.finance.first_ew_by_actor = vec![Day(u32::MAX), Day(120), Day(360)];
         carry
@@ -491,7 +485,7 @@ mod tests {
             .seen_urls
             .contains(&Url::new("i.imgur.com", "/x")));
         assert_eq!(back.finance.thread_cursor, 17);
-        assert_eq!(back.finance.earnings_threads, 4);
+        assert_eq!(back.finance.harvest.earnings_threads, 4);
         assert_eq!(back.finance.ew_posts_by_actor, vec![0, 55, 3]);
         assert_eq!(
             back.finance.first_ew_by_actor,

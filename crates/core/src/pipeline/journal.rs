@@ -39,8 +39,11 @@ use std::path::{Path, PathBuf};
 use worldgen::WorldConfig;
 
 /// Journal format version; bumped on any incompatible layout change so
-/// old run directories are recomputed instead of misread.
-const FORMAT: u32 = 1;
+/// old run directories are recomputed instead of misread. Version 2:
+/// every run computes through the carry fold, which orders proof
+/// records by post id and fills `topcls.stream_index`, and the finance
+/// carry holds its funnel as one `EarningsHarvest`.
+const FORMAT: u32 = 2;
 
 /// FNV-1a 64-bit over `bytes` — stable, dependency-free content hash
 /// for run keys and record checksums.

@@ -67,19 +67,37 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use worldgen::World;
 
-/// Epoch-sliced streaming mode: the feed is split into `epochs`
-/// calendar slices ([`worldgen::epoch_bound`]) and the pipeline sees
-/// only events up to slice `upto`'s boundary. With a warm
-/// [`EpochCarry`] ([`Pipeline::run_with_carry`]) each advance costs
-/// O(delta); with a fresh carry the same code path recomputes from
-/// scratch — the two are byte-identical by construction (the epoch
-/// equivalence gate in `tests/determinism.rs`).
+/// The calendar slices a run folds: the feed is split into `epochs`
+/// slices ([`worldgen::epoch_bound`]) and the run sees only events up to
+/// slice `upto`'s boundary. Every stage computes by folding slices into
+/// an [`EpochCarry`]: a run without a streamed spec folds one slice over
+/// the whole generated world ([`StreamSpec::WHOLE`]); with a warm carry
+/// ([`Pipeline::run_with_carry`]) each epoch advance costs O(delta); with
+/// a fresh carry the same code recomputes from scratch — the two are
+/// byte-identical by construction (the epoch equivalence gate in
+/// `tests/determinism.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamSpec {
     /// Number of calendar epochs the dataset window is split into.
     pub epochs: u32,
     /// Last epoch (1-based) whose events are visible to this run.
     pub upto: u32,
+}
+
+impl StreamSpec {
+    /// One slice covering the whole timeline: what a run without a
+    /// streamed spec folds.
+    pub const WHOLE: StreamSpec = StreamSpec { epochs: 1, upto: 1 };
+
+    /// Last day visible to slice `j`. The final slice is open-ended, so
+    /// it takes everything the world holds whatever its post dates.
+    pub(crate) fn bound(&self, config: &worldgen::WorldConfig, j: u32) -> synthrand::Day {
+        if j >= self.epochs {
+            crate::features::OPEN_CUTOFF
+        } else {
+            worldgen::epoch_bound(config, self.epochs, j)
+        }
+    }
 }
 
 /// Pipeline tuning knobs.
@@ -108,9 +126,8 @@ pub struct PipelineOptions {
     /// quarantine ledger instead of aborting the run. The plan's seed
     /// derives from `seed`, so runs stay reproducible.
     pub corruption_severity: f64,
-    /// `Some` selects epoch-sliced streaming mode (see [`StreamSpec`]);
-    /// `None` (default) is the classic whole-dataset batch pipeline,
-    /// byte-identical to the pre-streaming code.
+    /// `Some` runs over the feed's epoch slices (see [`StreamSpec`]);
+    /// `None` (default) folds the world as generated in one slice.
     pub stream: Option<StreamSpec>,
     /// Shard the run by forum across `shards` supervised worker threads
     /// (`0`, the default, is the classic unsharded driver). The merged
@@ -337,11 +354,14 @@ impl Pipeline {
 
     /// Runs every stage against `world` and assembles the report.
     ///
-    /// With `options.shards > 0` the run executes through the
-    /// supervised shard driver ([`shard::run_sharded`]): the corpus
-    /// scans fan out per-forum across panic-isolated shard workers and
-    /// a merge coordinator folds the partials — byte-identical to the
-    /// unsharded run at every shard count.
+    /// Every stage folds the run's slices into a fresh carry: one slice
+    /// over the whole world as generated ([`StreamSpec::WHOLE`]) unless
+    /// `options.stream` is set. With
+    /// `options.shards > 0` the run executes through the supervised
+    /// shard driver ([`shard::run_sharded`]): the corpus survey fans out
+    /// per-forum across panic-isolated shard workers and a merge
+    /// coordinator folds the partials into the `actors` carry —
+    /// byte-identical to the unsharded run at every shard count.
     pub fn run(&self, world: &World) -> PipelineReport {
         if self.options.shards > 0 {
             assert!(
@@ -368,24 +388,19 @@ impl Pipeline {
         Ok(ctx)
     }
 
-    /// Streaming-mode run: executes every stage with `carry` as the
-    /// warm inter-epoch state and returns the refreshed carry alongside
-    /// the report. Requires `options.stream` to be set. Passing
+    /// Runs every stage with `carry` as the warm inter-epoch state and
+    /// returns the refreshed carry alongside the report. Passing
     /// [`EpochCarry::default`] is the *fresh-carry* run — a full
-    /// recompute through the identical stream code path — which is what
-    /// the epoch-equivalence gate compares warm advances against.
+    /// recompute through the identical fold — which is what the
+    /// epoch-equivalence gate compares warm advances against.
     pub fn run_with_carry(
         &self,
         world: &World,
         carry: EpochCarry,
     ) -> Result<(PipelineReport, EpochCarry), StageError> {
         assert!(
-            self.options.stream.is_some(),
-            "run_with_carry requires PipelineOptions::stream"
-        );
-        assert!(
             self.options.shards == 0,
-            "sharded execution is batch-only; epoch streaming has its own driver"
+            "sharded execution has its own driver; epoch streaming does not shard"
         );
         let mut ctx = StageCtx::new(world, self.options);
         ctx.carry = Some(carry);

@@ -14,20 +14,20 @@
 //!   optional per-attempt deadline — and a shard that exhausts its
 //!   restart budget is **quarantined**: its mailbox is dropped, the
 //!   worker exits, and the round completes without it.
-//! * [`run_sharded`] — the sharded pipeline driver. The corpus-scan
-//!   stages (`extract` and the TOP classifier's training tokenisation)
-//!   fan out per-forum across supervised shards; a merge coordinator
-//!   folds the partial artifacts deterministically — extraction rows
-//!   concatenate in forum order, the DTM vocabulary is fit over the
-//!   shard-ordered document union, per-actor counters merge via
-//!   [`ActorFold::merge`], and the cross-forum interaction graph is
-//!   stitched by replaying per-shard edge lists in forum order. The
-//!   remaining stages run on the coordinator through the ordinary
-//!   driver (`crawl`'s per-host circuit breakers couple state across
-//!   forums, so sharding them would change byte output). The merged
-//!   report is **byte-identical to the unsharded run at every shard
-//!   count** — `tests/determinism.rs` enforces shards {1,2,5} ×
-//!   workers {1,2,7}.
+//! * [`run_sharded`] — the sharded pipeline driver. The corpus survey
+//!   (`extract` plus the `actors` fold over every post) fans out
+//!   per-forum across supervised shards; a merge coordinator folds the
+//!   partials deterministically — extraction rows concatenate in forum
+//!   order, per-actor counters merge via [`ActorFold::merge`], and the
+//!   cross-forum interaction graph is stitched by replaying per-shard
+//!   edge lists in forum order — into the `actors` stage's carry, with
+//!   its cursors at the end of the corpus. The remaining stages run on
+//!   the coordinator through the ordinary driver (`crawl`'s per-host
+//!   circuit breakers couple state across forums, so sharding them
+//!   would change byte output); `actors` then only assembles its
+//!   artifacts from the pre-folded carry. The merged report is
+//!   **byte-identical to the unsharded run at every shard count** —
+//!   `tests/determinism.rs` enforces shards {1,2,5} × workers {1,2,7}.
 //! * Degradation — a quarantined shard's forums simply contribute
 //!   nothing: its extraction rows stay empty, a `ShardFailure` entry
 //!   lands in the quarantine ledger, the pipeline-health section gains
@@ -36,19 +36,18 @@
 //!   (panics and/or typed errors) so that path is testable end-to-end.
 
 use super::corruption::RecordErrorKind;
-use super::ctx::StageCtx;
-use super::stages::topcls::forum_rows;
+use super::ctx::{carry_mut, StageCtx};
+use super::epoch::ActorsCarry;
 use super::{
     Pipeline, PipelineOptions, PipelineReport, StageError, StageHealth, StageStatus, StageTiming,
     TimingSource,
 };
 use crate::actors::ActorFold;
 use crate::extract::{extract_ewhoring_threads_in, EwhoringSet};
-use crate::features::{thread_tokens, FeatureExtractor};
 use crate::pipeline::corruption::CorruptionPlan;
-use crate::topcls::classify_tops_with_fit;
 use crimebb::{ActorId, BoardCategory, ThreadId};
 use serde::{Deserialize, Serialize};
+use socgraph::DiGraph;
 use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -87,26 +86,18 @@ impl Default for RestartPolicy {
     }
 }
 
-/// Supervision counters for one run, merged across rounds. Zero
+/// Supervision counters for one run (its supervised survey round). Zero
 /// everywhere on an unsharded run (and stripped from determinism
 /// snapshots alongside `timings`, since a restart is a scheduling
 /// event, not a measurement).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Supervision {
-    /// Shard tasks dispatched (shards × supervised rounds).
+    /// Shard tasks dispatched (one per shard).
     pub shards_run: usize,
     /// Shards that needed at least one restart.
     pub shards_restarted: usize,
     /// Shards that exhausted their restart budget and were quarantined.
     pub shards_quarantined: usize,
-}
-
-impl Supervision {
-    fn absorb(&mut self, stats: RoundStats) {
-        self.shards_run += stats.run;
-        self.shards_restarted += stats.restarted;
-        self.shards_quarantined += stats.quarantined;
-    }
 }
 
 /// Deterministic shard-failure injection for supervision tests: shard
@@ -277,28 +268,13 @@ fn render_panic(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The per-shard partial feeding the actors stage after the merge:
-/// fold counters, interaction-graph edge list (replayed in forum
-/// order), and the Currency Exchange thread ledger.
-#[derive(Debug, Default)]
-pub struct ShardActorPartials {
-    /// Per-actor counters merged across shards.
-    pub fold: ActorFold,
-    /// `(source, target)` interaction edges, concatenated in shard
-    /// (= forum) order — the exact `add_edge` sequence of the batch
-    /// graph build.
-    pub edges: Vec<(u32, u32)>,
-    /// `(author, thread)` Currency Exchange ledger rows.
-    pub ce_threads: Vec<(ActorId, ThreadId)>,
-}
-
 /// Everything one shard's survey pass produces.
 struct ShardPartial {
     /// The shard's forums' extraction rows (post corruption filter).
     set: EwhoringSet,
     /// Extraction count before the corruption filter ran.
     before: usize,
-    /// Quarantined records, in the batch stage's per-forum order.
+    /// Quarantined records, in the extract stage's per-forum order.
     quarantined: Vec<(String, RecordErrorKind)>,
     /// Per-actor counters over the shard's posts.
     fold: ActorFold,
@@ -308,13 +284,13 @@ struct ShardPartial {
     ce_threads: Vec<(ActorId, ThreadId)>,
 }
 
-/// One shard's survey pass: extraction (with the batch corruption
-/// filter replicated per-forum), the actor fold, the interaction-edge
+/// One shard's survey pass: extraction (with the extract stage's
+/// corruption filter replicated per-forum), the actor fold, the interaction-edge
 /// list, and the CE ledger — everything that is a pure function of the
 /// shard's forum span. Extraction is per-forum independent (a thread's
 /// dedup entry can only come from its own forum), corruption draws are
 /// pure per-thread, and every post belongs to exactly one forum, so
-/// concatenating these partials in forum order reproduces the batch
+/// concatenating these partials in forum order reproduces the unsharded
 /// artifacts exactly.
 fn shard_survey(world: &World, plan: &CorruptionPlan, span: Range<usize>) -> ShardPartial {
     let corpus = &world.corpus;
@@ -344,41 +320,36 @@ fn shard_survey(world: &World, plan: &CorruptionPlan, span: Range<usize>) -> Sha
         }
     }
 
+    // The `actors` fold over the span's posts: per-actor counters,
+    // interaction edges (every reply but the opening post in an
+    // eWhoring thread, aimed at the quoted post's author or else the
+    // thread's), and the CE-thread ledger.
     let ewset: HashSet<ThreadId> = set.all_threads().into_iter().collect();
     let mut fold = ActorFold::default();
     fold.ensure(corpus.actors().len());
+    let mut edges = Vec::new();
     let mut ce_threads = Vec::new();
     for thread in corpus.threads() {
         if !span.contains(&corpus.board(thread.board).forum.index()) {
             continue;
         }
         let in_ew = ewset.contains(&thread.id);
-        for &p in corpus.posts_in_thread(thread.id) {
+        for (i, &p) in corpus.posts_in_thread(thread.id).iter().enumerate() {
             let post = corpus.post(p);
             fold.note_post(post.author, post.date, in_ew);
+            if !in_ew || i == 0 {
+                continue;
+            }
+            let target = match post.quotes {
+                Some(q) => corpus.post(q).author,
+                None => thread.author,
+            };
+            if post.author != target {
+                edges.push((post.author.0, target.0));
+            }
         }
         if corpus.board(thread.board).category == BoardCategory::CurrencyExchange {
             ce_threads.push((thread.author, thread.id));
-        }
-    }
-
-    // Interaction edges over the shard's eWhoring threads, in the
-    // shard's extraction order — the batch build's order restricted to
-    // this forum span.
-    let mut edges = Vec::new();
-    for (_, threads) in &set.per_forum {
-        for &t in threads {
-            let thread_author = corpus.thread(t).author;
-            for &p in corpus.posts_in_thread(t).iter().skip(1) {
-                let post = corpus.post(p);
-                let target = match post.quotes {
-                    Some(q) => corpus.post(q).author,
-                    None => thread_author,
-                };
-                if post.author != target {
-                    edges.push((post.author.0, target.0));
-                }
-            }
         }
     }
 
@@ -415,8 +386,7 @@ fn poison_check(poison: Option<ShardPoison>, shard: usize, attempt: u32) -> Resu
 
 /// The sharded pipeline driver (invoked by [`Pipeline::run`] when
 /// `options.shards > 0`): supervised per-forum survey round, merge
-/// coordinator, supervised training-tokenisation round inside the TOP
-/// classifier, then the coordinator-side tail of the stage graph.
+/// coordinator, then the rest of the stage graph on the coordinator.
 pub(super) fn run_sharded(
     options: PipelineOptions,
     world: &World,
@@ -435,7 +405,11 @@ pub(super) fn run_sharded(
         poison_check(poison, s, attempt)?;
         Ok(shard_survey(world, &plan, spans[s].clone()))
     });
-    ctx.supervision.absorb(stats);
+    ctx.supervision = Supervision {
+        shards_run: stats.run,
+        shards_restarted: stats.restarted,
+        shards_quarantined: stats.quarantined,
+    };
 
     // ---- merge coordinator ----
     // Extraction rows always cover every forum in corpus order; a
@@ -497,102 +471,26 @@ pub(super) fn run_sharded(
     });
     ctx.all_threads = Some(set.all_threads());
     ctx.extraction = Some(set);
-    ctx.shard_actors = Some(ShardActorPartials {
+    // The graph's adjacency is kept sorted with integer weights, so the
+    // replayed edges build the same graph whatever their order.
+    let mut graph = DiGraph::with_nodes(corpus.actors().len());
+    for (a, b) in edges {
+        graph.add_edge(a, b, 1.0);
+    }
+    carry_mut(&mut ctx.carry)?.actors = ActorsCarry {
+        cursor: corpus.posts().len(),
+        graph,
         fold,
-        edges,
+        ce_cursor: corpus.threads().len(),
         ce_threads,
-    });
-
-    // ---- TOP classifier (coordinator, with a supervised tokenise
-    // round inside the feature fit) ----
-    let t = Instant::now();
-    let all_threads = ctx.all_threads.clone().expect("survey round just ran");
-    // NaN-feature partition, exactly as the batch stage's serial
-    // section (inert at severity 0).
-    let classify_input: Vec<ThreadId> = if plan.is_enabled() {
-        let mut kept = Vec::with_capacity(all_threads.len());
-        let mut noisy = Vec::new();
-        for &th in &all_threads {
-            if plan.feature_noise(th).is_finite() {
-                kept.push(th);
-            } else {
-                noisy.push(th);
-            }
-        }
-        for th in noisy {
-            ctx.ledger.record(
-                "top_classifier",
-                format!("thread/{}", th.0),
-                RecordErrorKind::NonFiniteFeature,
-            );
-        }
-        kept
-    } else {
-        all_threads
+        ..ActorsCarry::default()
     };
-    let workers = options.workers;
-    let mut tokenize_stats = RoundStats::default();
-    let fit = |train: &[ThreadId]| -> FeatureExtractor {
-        // Shards tokenise contiguous spans of the training set; the
-        // coordinator concatenates the documents in shard order (=
-        // training order) and fits the vocabulary/DTM/IDF over the
-        // union, byte-identical to a single-process fit.
-        let spans = partition_spans(train.len(), shards);
-        let (outcomes, stats) = supervisor.run_round(shards, |s, _attempt| {
-            Ok::<_, String>(
-                train[spans[s].clone()]
-                    .iter()
-                    .map(|&th| thread_tokens(corpus, th))
-                    .collect::<Vec<_>>(),
-            )
-        });
-        tokenize_stats = stats;
-        let mut docs: Vec<Vec<String>> = Vec::with_capacity(train.len());
-        for (s, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                RoundOutcome::Done(part) => docs.extend(part),
-                // Tokenisation is infallible, so this only fires under
-                // synthetic poison; the coordinator fills the span
-                // inline so the vocabulary stays complete.
-                RoundOutcome::Quarantined { .. } => docs.extend(
-                    train[spans[s].clone()]
-                        .iter()
-                        .map(|&th| thread_tokens(corpus, th)),
-                ),
-            }
-        }
-        FeatureExtractor::fit_from_docs(&docs, workers)
-    };
-    let (_classifier, topcls) = classify_tops_with_fit(
-        &mut ctx.rng,
-        corpus,
-        &world.catalog,
-        &world.truth,
-        &classify_input,
-        workers,
-        fit,
-    );
-    ctx.supervision.absorb(tokenize_stats);
-    let forums = forum_rows(
-        corpus,
-        ctx.extraction.as_ref().expect("merged above"),
-        &topcls.detected,
-    );
-    ctx.timings.push(StageTiming {
-        stage: "top_classifier".to_string(),
-        wall_us: t.elapsed().as_micros(),
-        items: classify_input.len(),
-        source: TimingSource::Computed,
-    });
-    ctx.topcls = Some(topcls);
-    ctx.forums = Some(forums);
 
     // ---- coordinator-side tail ----
     // Crawl's per-host circuit breakers and request budgets couple
-    // state across forums, so the tail stages run unsharded through
-    // the ordinary driver; `actors` consumes the merged shard partials
-    // instead of rescanning the corpus.
-    for stage in Pipeline::stages().into_iter().skip(2) {
+    // state across forums, so the other stages run unsharded through
+    // the ordinary driver.
+    for stage in Pipeline::stages().into_iter().skip(1) {
         Pipeline::step(stage.as_ref(), &mut ctx)?;
     }
     ctx.into_report()

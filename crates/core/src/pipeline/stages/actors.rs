@@ -1,16 +1,16 @@
 //! Stage `actors`: cohorts, interaction graph, and key actors (paper §6).
 
 use crate::actors::{
-    actor_metrics, cohort_table, group_profiles, interaction_graph, interest_evolution, popularity,
-    select_key_actors, select_key_actors_with_centrality, ActorFold, KeyActorInputs,
+    cohort_table, group_profiles, interest_evolution, popularity,
+    select_key_actors_with_centrality, ActorFold, KeyActorInputs,
 };
+use crate::finance::qualifying_ce_threads;
 use crate::pipeline::corruption::RecordErrorKind;
-use crate::pipeline::ctx::require;
+use crate::pipeline::ctx::{carry_mut, require};
 use crate::pipeline::{Stage, StageCtx, StageError};
 use crimebb::{ActorId, BoardCategory, Corpus, ForumId, ThreadId};
 use socgraph::{eigenvector_centrality_from, DiGraph};
 use std::collections::{HashMap, HashSet};
-use worldgen::epoch_bound;
 
 /// Produces `cohorts`, `fig4_points`, `key_actors`, `group_profiles`,
 /// and `interests`.
@@ -27,114 +27,84 @@ impl Stage for ActorsStage {
         let crawl = require(&ctx.crawl, "crawl")?;
         let harvest = require(&ctx.harvest, "harvest")?;
 
-        // Streaming fork: grow the carried interaction graph and the
-        // per-actor metric counters by the new epochs' posts only,
-        // warm-start the centrality iteration from the previous epoch's
-        // vector, and assemble Table 8 / Figure 4 / Table 7 inputs from
-        // the carry instead of rescanning the corpus. The warm chain
-        // replays bit-identically from a fresh carry (same fold order,
-        // same fixed iteration budget; the metric counters are integer
-        // counts and day spans with no float order to preserve), which
-        // keeps advance ≡ recompute.
-        let stream = if let Some(spec) = ctx.options.stream {
-            let carry = &mut ctx
-                .carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .actors;
-            let corpus = &world.corpus;
-            let n_actors = corpus.actors().len();
-            if carry.influence.is_empty() {
-                // Fresh carry: every actor exists from the base world on,
-                // so the node set is fixed across all epochs.
-                carry.graph = DiGraph::with_nodes(n_actors);
-                carry.influence = vec![1.0 / (n_actors as f64).sqrt(); n_actors];
-            }
-            carry.fold.ensure(n_actors);
-            let ewset: HashSet<ThreadId> = all_threads.iter().copied().collect();
-            let posts = corpus.posts();
-            for j in carry.epoch + 1..=spec.upto {
-                // Loop-invariant per epoch: one `epoch_bound` call, one
-                // `partition_point`, then a walk of the slice only.
-                let bound = epoch_bound(&world.config, spec.epochs, j);
-                let boundary = posts.partition_point(|p| p.date <= bound);
-                for post in &posts[carry.cursor..boundary] {
-                    let t = post.thread;
-                    let in_ew = ewset.contains(&t);
-                    carry.fold.note_post(post.author, post.date, in_ew);
-                    if !in_ew {
-                        continue;
-                    }
-                    // The opening post starts the thread, it replies to
-                    // nothing — same skip as the batch build.
-                    if corpus.posts_in_thread(t).first() == Some(&post.id) {
-                        continue;
-                    }
-                    let target = match post.quotes {
-                        Some(q) => corpus.post(q).author,
-                        None => corpus.thread(t).author,
-                    };
-                    if post.author != target {
-                        carry.graph.add_edge(post.author.0, target.0, 1.0);
-                    }
+        // Grow the carried interaction graph and the per-actor metric
+        // counters by the new slices' posts only, warm-start the
+        // centrality iteration from the previous slice's vector, and
+        // assemble Table 8 / Figure 4 / Table 7 inputs from the carry.
+        // The warm chain replays bit-identically from a fresh carry
+        // (same fold order, same fixed iteration budget; the metric
+        // counters are integer counts and day spans with no float order
+        // to preserve), which keeps advance ≡ recompute.
+        let spec = ctx.slices();
+        let carry = &mut carry_mut(&mut ctx.carry)?.actors;
+        let corpus = &world.corpus;
+        let n_actors = corpus.actors().len();
+        // Every actor exists from the base world on, so the node set is
+        // fixed across all slices. A carry the shard driver pre-folded
+        // arrives with its graph built and its cursors at the end.
+        if carry.graph.node_count() == 0 {
+            carry.graph = DiGraph::with_nodes(n_actors);
+        }
+        if carry.influence.is_empty() {
+            carry.influence = vec![1.0 / (n_actors as f64).sqrt(); n_actors];
+        }
+        carry.fold.ensure(n_actors);
+        let ewset: HashSet<ThreadId> = all_threads.iter().copied().collect();
+        let posts = corpus.posts();
+        for j in carry.epoch + 1..=spec.upto {
+            // The final slice runs to the end of the timeline. Earlier
+            // slices end at their bound: on a feed world post ids are
+            // chronological, so that is one `partition_point`.
+            let boundary = if j >= spec.epochs {
+                posts.len()
+            } else {
+                let bound = spec.bound(&world.config, j);
+                posts.partition_point(|p| p.date <= bound)
+            };
+            for post in &posts[carry.cursor..boundary] {
+                let t = post.thread;
+                let in_ew = ewset.contains(&t);
+                carry.fold.note_post(post.author, post.date, in_ew);
+                if !in_ew {
+                    continue;
                 }
-                carry.cursor = boundary;
-                carry.influence = eigenvector_centrality_from(
-                    &carry.graph,
-                    &carry.influence,
-                    200,
-                    ctx.options.workers,
-                );
-            }
-            carry.epoch = spec.upto;
-            // CE-thread ledger grown at creation (board and author are
-            // fixed then); the >50-post qualification is re-checked at
-            // assembly because it can be crossed epochs later.
-            let threads = corpus.threads();
-            for th in &threads[carry.ce_cursor..] {
-                if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
-                    carry.ce_threads.push((th.author, th.id));
+                // The opening post starts the thread, it replies to
+                // nothing.
+                if corpus.posts_in_thread(t).first() == Some(&post.id) {
+                    continue;
+                }
+                let target = match post.quotes {
+                    Some(q) => corpus.post(q).author,
+                    None => corpus.thread(t).author,
+                };
+                if post.author != target {
+                    carry.graph.add_edge(post.author.0, target.0, 1.0);
                 }
             }
-            carry.ce_cursor = threads.len();
-            let metrics = carry.fold.metrics();
-            let ce = ce_threads_from_fold(
-                &world.corpus,
-                world.hackforums,
-                &carry.fold,
-                &carry.ce_threads,
+            carry.cursor = boundary;
+            carry.influence = eigenvector_centrality_from(
+                &carry.graph,
+                &carry.influence,
+                200,
+                ctx.options.workers,
             );
-            Some((metrics, carry.graph.clone(), carry.influence.clone(), ce))
-        } else {
-            None
-        };
-        let (metrics, graph, centrality, ce_by_actor) = if let Some((m, g, c, ce)) = stream {
-            (m, g, Some(c), ce)
-        } else if let Some(partials) = ctx.shard_actors.take() {
-            // Sharded fork: the merge coordinator already folded every
-            // shard's per-actor counters, edge list, and CE ledger.
-            // Replaying the concatenated edges in shard (= forum) order
-            // reproduces the batch graph's `add_edge` sequence exactly,
-            // so the centrality iteration is byte-identical too.
-            let mut graph = DiGraph::with_nodes(world.corpus.actors().len());
-            for &(a, b) in &partials.edges {
-                graph.add_edge(a, b, 1.0);
+        }
+        carry.epoch = spec.upto;
+        // CE-thread ledger grown at creation (board and author are fixed
+        // then); the >50-post qualification is re-checked at assembly
+        // because it can be crossed slices later.
+        let threads = corpus.threads();
+        for th in &threads[carry.ce_cursor..] {
+            if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
+                carry.ce_threads.push((th.author, th.id));
             }
-            let ce = ce_threads_from_fold(
-                &world.corpus,
-                world.hackforums,
-                &partials.fold,
-                &partials.ce_threads,
-            );
-            (partials.fold.metrics(), graph, None, ce)
-        } else {
-            (
-                actor_metrics(&world.corpus, all_threads),
-                interaction_graph(&world.corpus, all_threads),
-                None,
-                ce_threads_by_actor(&world.corpus, world.hackforums, all_threads),
-            )
-        };
+        }
+        carry.ce_cursor = threads.len();
+        let metrics = carry.fold.metrics();
+        let ce_by_actor =
+            ce_threads_from_fold(corpus, world.hackforums, &carry.fold, &carry.ce_threads);
+        let graph = &carry.graph;
+        let centrality = &carry.influence;
         let cohorts = cohort_table(&metrics);
         // Defensive finiteness gate on the Figure 4 scatter: a metric
         // whose eWhoring percentage comes back non-finite (division on
@@ -172,13 +142,11 @@ impl Stage for ActorsStage {
             packs_by_actor: &packs_by_actor,
             earnings_by_actor: &earnings_by_actor,
             popularity: &pop,
-            graph: &graph,
+            graph,
             ce_by_actor: &ce_by_actor,
         };
-        let key_actors = match &centrality {
-            Some(c) => select_key_actors_with_centrality(&inputs, c, ctx.options.k_key_actors),
-            None => select_key_actors(&inputs, ctx.options.k_key_actors, ctx.options.workers),
-        };
+        let key_actors =
+            select_key_actors_with_centrality(&inputs, centrality, ctx.options.k_key_actors);
         let profiles = group_profiles(&inputs, &key_actors);
         let interests = interest_evolution(&world.corpus, &metrics, &key_actors.all);
 
@@ -192,39 +160,11 @@ impl Stage for ActorsStage {
     }
 }
 
-/// Post-eWhoring Currency Exchange thread counts per qualifying actor:
-/// HackForums members with more than 50 posts in eWhoring threads, counting
-/// only Currency Exchange threads they started after their first eWhoring
-/// post (paper §5.1).
-pub(crate) fn ce_threads_by_actor(
-    corpus: &Corpus,
-    hackforums: ForumId,
-    ewhoring_threads: &[ThreadId],
-) -> HashMap<ActorId, usize> {
-    let counts = corpus.posts_per_actor_in(ewhoring_threads);
-    let thread_set: std::collections::HashSet<ThreadId> =
-        ewhoring_threads.iter().copied().collect();
-    let mut out = HashMap::new();
-    for (&actor, &c) in &counts {
-        if c <= 50 || corpus.actor(actor).forum != hackforums {
-            continue;
-        }
-        let first = corpus.actor_span_in_set(actor, &thread_set).map(|(f, _)| f);
-        let n = corpus
-            .threads_started_by(actor, BoardCategory::CurrencyExchange, first)
-            .len();
-        if n > 0 {
-            out.insert(actor, n);
-        }
-    }
-    out
-}
-
-/// Streaming form of [`ce_threads_by_actor`]: reads the carried
-/// per-actor eWhoring tallies and CE-thread ledger instead of rescanning
-/// every post in the extraction set. Same gates, re-checked at assembly;
-/// the output map's contents (never its iteration order) feed the
-/// key-actor ranking, so equality of contents is equality of artifact.
+/// Post-eWhoring Currency Exchange thread counts per qualifying actor
+/// (paper §5.1), from the carried per-actor eWhoring tallies and CE
+/// ledger through the Table 7 gates ([`qualifying_ce_threads`]). The
+/// output map's contents (never its iteration order) feed the key-actor
+/// ranking, so equality of contents is equality of artifact.
 pub(crate) fn ce_threads_from_fold(
     corpus: &Corpus,
     hackforums: ForumId,
@@ -232,18 +172,13 @@ pub(crate) fn ce_threads_from_fold(
     ce_threads: &[(ActorId, ThreadId)],
 ) -> HashMap<ActorId, usize> {
     let mut out = HashMap::new();
-    for &(actor, t) in ce_threads {
-        let i = actor.0 as usize;
-        if fold.ew_posts[i] <= 50 || corpus.actor(actor).forum != hackforums {
-            continue;
-        }
-        // `threads_started_by` only looks inside the actor's own forum.
-        if corpus.forum_of_thread(t) != hackforums {
-            continue;
-        }
-        if corpus.thread(t).created < fold.first_ew[i] {
-            continue;
-        }
+    for (actor, _) in qualifying_ce_threads(
+        corpus,
+        hackforums,
+        &fold.ew_posts,
+        &fold.first_ew,
+        ce_threads,
+    ) {
         *out.entry(actor).or_insert(0) += 1;
     }
     out
@@ -255,11 +190,11 @@ mod tests {
     use crimebb::CorpusBuilder;
     use synthrand::Day;
 
-    /// Hand-built corpus exercising every gate of `ce_threads_by_actor`:
+    /// Hand-built corpus exercising every gate of `ce_threads_from_fold`:
     /// the >50-posts threshold, the HackForums-membership requirement,
     /// and the started-after-first-eWhoring-post cutoff.
     #[test]
-    fn ce_threads_by_actor_applies_every_gate() {
+    fn ce_threads_from_fold_applies_every_gate() {
         let mut b = CorpusBuilder::new();
         let hf = b.add_forum("Hackforums");
         let other = b.add_forum("Elsewhere");
@@ -326,7 +261,22 @@ mod tests {
         b.add_thread(ce, early, "btc", Day::from_ymd(2015, 6, 1));
         let corpus = b.build();
 
-        let out = ce_threads_by_actor(&corpus, hf, &[t_ew, t_ew2]);
+        // The fold and the CE ledger as the stage builds them: every
+        // post once, every Currency Exchange thread at creation.
+        let ewset: HashSet<ThreadId> = [t_ew, t_ew2].into_iter().collect();
+        let mut fold = ActorFold::default();
+        fold.ensure(corpus.actors().len());
+        for post in corpus.posts() {
+            fold.note_post(post.author, post.date, ewset.contains(&post.thread));
+        }
+        let ledger: Vec<(ActorId, ThreadId)> = corpus
+            .threads()
+            .iter()
+            .filter(|th| corpus.board(th.board).category == BoardCategory::CurrencyExchange)
+            .map(|th| (th.author, th.id))
+            .collect();
+        assert_eq!(ledger.len(), 5, "every CE thread enters the ledger");
+        let out = ce_threads_from_fold(&corpus, hf, &fold, &ledger);
 
         assert_eq!(out.get(&heavy), Some(&2), "qualifies on every gate");
         assert!(!out.contains_key(&light), "≤50 eWhoring posts");

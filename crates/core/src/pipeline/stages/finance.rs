@@ -3,12 +3,9 @@
 //! Reuses the safety stage's gate so proof-of-earnings screenshots are
 //! screened through the same hash log the image screening used.
 
-use crate::finance::{
-    analyse_currency_exchange, analyse_currency_exchange_stream, analyse_earnings,
-    harvest_earnings, harvest_earnings_stream,
-};
+use crate::finance::{analyse_currency_exchange_stream, analyse_earnings, harvest_earnings_stream};
 use crate::pipeline::corruption::RecordErrorKind;
-use crate::pipeline::ctx::require;
+use crate::pipeline::ctx::{carry_mut, require};
 use crate::pipeline::{Stage, StageCtx, StageError};
 
 /// Produces `harvest`, `earnings`, and `currency`.
@@ -24,19 +21,14 @@ impl Stage for FinanceStage {
         let all_threads = require(&ctx.all_threads, "all_threads")?;
         let gate = require(&ctx.gate, "gate")?;
 
-        let mut harvest = if ctx.options.stream.is_some() {
-            // Streaming fork: fold only the posts that arrived since the
-            // carried cursor; counters, dedup sets, and proof records
-            // persist across epochs.
-            let carry = &mut ctx
-                .carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .finance;
-            harvest_earnings_stream(world, gate, all_threads, carry)
-        } else {
-            harvest_earnings(world, gate, all_threads)
-        };
+        // Fold only the posts that arrived since the carried cursor;
+        // counters, dedup sets, and proof records persist across slices.
+        let mut harvest = harvest_earnings_stream(
+            world,
+            gate,
+            all_threads,
+            &mut carry_mut(&mut ctx.carry)?.finance,
+        );
 
         // Ingestion check on the parsed proofs: a corrupt currency cell
         // yields a non-finite USD amount once the exchange multiplier is
@@ -69,35 +61,23 @@ impl Stage for FinanceStage {
             }
         }
 
-        let (earnings, currency) = if ctx.options.stream.is_some() {
-            let carry = &mut ctx
-                .carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .finance;
-            // §5.2 aggregates: fold only the proofs that arrived since
-            // the carried cursor — the same `EarningsAgg` code path
-            // `analyse_earnings` runs in one shot, so the warm aggregate
-            // is byte-identical by fold composition. An enabled
-            // corruption plan filters a per-run *copy* of the proof
-            // list, so that path re-aggregates the filtered copy in
-            // full and leaves the clean carry untouched.
-            let earnings = if plan.is_enabled() {
-                analyse_earnings(&harvest)
-            } else {
-                carry.agg.fold(&carry.proofs[carry.agg_cursor..]);
-                carry.agg_cursor = carry.proofs.len();
-                carry.agg.finish()
-            };
-            // Table 7 from the carried per-actor tallies + CE ledger.
-            let currency = analyse_currency_exchange_stream(&world.corpus, world.hackforums, carry);
-            (earnings, currency)
+        let carry = &mut carry_mut(&mut ctx.carry)?.finance;
+        // §5.2 aggregates: fold only the proofs that arrived since the
+        // carried cursor — the same `EarningsAgg` code path
+        // `analyse_earnings` runs in one shot, so the warm aggregate is
+        // byte-identical by fold composition. An enabled corruption plan
+        // filters a per-run *copy* of the proof list, so that path
+        // re-aggregates the filtered copy in full and leaves the clean
+        // carry untouched.
+        let earnings = if plan.is_enabled() {
+            analyse_earnings(&harvest)
         } else {
-            (
-                analyse_earnings(&harvest),
-                analyse_currency_exchange(&world.corpus, world.hackforums, all_threads),
-            )
+            carry.agg.fold(&carry.harvest.proofs[carry.agg_cursor..]);
+            carry.agg_cursor = carry.harvest.proofs.len();
+            carry.agg.finish()
         };
+        // Table 7 from the carried per-actor tallies + CE ledger.
+        let currency = analyse_currency_exchange_stream(&world.corpus, world.hackforums, carry);
 
         ctx.note_items(all_threads.len());
         ctx.harvest = Some(harvest);

@@ -11,7 +11,7 @@
 
 use crate::crawl::CrawlResult;
 use crate::nsfv::ImageMeasures;
-use crate::pipeline::ctx::require;
+use crate::pipeline::ctx::{carry_mut, require};
 use crate::pipeline::{MeasuredImages, Stage, StageCtx, StageError};
 use imagesim::{ImageSpec, MeasureScratch, Transform};
 use std::collections::{HashMap, HashSet};
@@ -50,63 +50,53 @@ impl Stage for MeasureStage {
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), StageError> {
         let crawl = require(&ctx.crawl, "crawl")?;
         let workers = ctx.options.workers;
-        let measures = if ctx.options.stream.is_some() {
-            // Streaming fork: every `(spec, transform)` pair measured in
-            // any earlier epoch is served from the carry memo; only the
-            // epoch's genuinely new pairs hit the pixel kernels. Memo
-            // hits are exact because a measure is a pure function of its
-            // pair (the arena-batch bit-identity contract above).
-            let memo = &ctx
-                .carry
-                .as_ref()
-                .expect("stream options imply a carry")
-                .measure;
-            let known: HashMap<(ImageSpec, Transform), ImageMeasures> = memo
-                .memo
+        // Every `(spec, transform)` pair measured in an earlier slice is
+        // served from the carry memo; only genuinely new pairs hit the
+        // pixel kernels. Memo hits are exact because a measure is a pure
+        // function of its pair (the arena-batch bit-identity contract
+        // below).
+        let mut known: HashMap<(ImageSpec, Transform), ImageMeasures> = carry_mut(&mut ctx.carry)?
+            .measure
+            .memo
+            .iter()
+            .map(|&(img, m)| ((img.spec, img.transform), m))
+            .collect();
+        let mut fresh_entries: Vec<(StoredImage, ImageMeasures)> = Vec::new();
+        let measures = flatten_and_measure(crawl, |images| {
+            let mut queued: HashSet<(ImageSpec, Transform)> = HashSet::new();
+            let unseen: Vec<StoredImage> = images
                 .iter()
-                .map(|&(img, m)| ((img.spec, img.transform), m))
+                .copied()
+                .filter(|img| {
+                    let key = (img.spec, img.transform);
+                    !known.contains_key(&key) && queued.insert(key)
+                })
                 .collect();
-            let mut fresh_entries: Vec<(StoredImage, ImageMeasures)> = Vec::new();
-            let measures = flatten_and_measure(crawl, |images| {
-                let mut batch_seen: HashSet<(ImageSpec, Transform)> = HashSet::new();
-                let unseen: Vec<StoredImage> = images
+            fresh_entries = unseen
+                .iter()
+                .copied()
+                .zip(measure_batch(&unseen, workers))
+                .collect();
+            known.extend(
+                fresh_entries
                     .iter()
-                    .copied()
-                    .filter(|img| {
-                        let key = (img.spec, img.transform);
-                        !known.contains_key(&key) && batch_seen.insert(key)
-                    })
-                    .collect();
-                let measured = measure_batch(&unseen, workers);
-                fresh_entries = unseen.into_iter().zip(measured).collect();
-                let lookup: HashMap<(ImageSpec, Transform), ImageMeasures> = fresh_entries
-                    .iter()
-                    .map(|&(img, m)| ((img.spec, img.transform), m))
-                    .collect();
-                images
-                    .iter()
-                    .map(|img| {
-                        let key = (img.spec, img.transform);
-                        known
-                            .get(&key)
-                            .or_else(|| lookup.get(&key))
-                            .copied()
-                            .expect("every image is memoised or freshly measured")
-                    })
-                    .collect()
-            })?;
-            // Commit only after the fallible re-split succeeded, so a
-            // stage retry re-measures instead of trusting a half-write.
-            ctx.carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .measure
-                .memo
-                .extend(fresh_entries);
-            measures
-        } else {
-            flatten_and_measure(crawl, |images| measure_batch(images, workers))?
-        };
+                    .map(|&(img, m)| ((img.spec, img.transform), m)),
+            );
+            images
+                .iter()
+                .map(|img| {
+                    *known
+                        .get(&(img.spec, img.transform))
+                        .expect("every image is memoised or freshly measured")
+                })
+                .collect()
+        })?;
+        // Commit only after the fallible re-split succeeded, so a stage
+        // retry re-measures instead of trusting a half-write.
+        carry_mut(&mut ctx.carry)?
+            .measure
+            .memo
+            .extend(fresh_entries);
         ctx.note_items(measures.total());
         ctx.measures = Some(measures);
         Ok(())

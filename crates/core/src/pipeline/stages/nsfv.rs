@@ -8,7 +8,7 @@
 //! partial funnel (download counts only), and the run continues.
 
 use crate::nsfv::{validate, ImageMeasures, NsfvValidation};
-use crate::pipeline::ctx::require;
+use crate::pipeline::ctx::{carry_mut, require};
 use crate::pipeline::{ImageFunnel, Stage, StageCtx, StageError};
 use imagesim::validation::build_validation_set;
 use std::collections::HashMap;
@@ -53,18 +53,13 @@ impl Stage for NsfvStage {
         let kept = require(&ctx.kept, "kept")?;
 
         let workers = ctx.options.workers;
-        // The validation-set evaluation is pure in the run seed, so
-        // streaming runs compute it at the first epoch and serve the
-        // memoised copy on every later advance.
+        // The validation-set evaluation is pure in the run seed, so the
+        // first slice computes it and every later advance serves the
+        // memoised copy.
         let seed = ctx.options.seed;
-        let nsfv_validation = if ctx.options.stream.is_some() {
-            let carry = ctx.carry.as_mut().expect("stream options imply a carry");
-            *carry
-                .nsfv
-                .get_or_insert_with(|| validate(&build_validation_set(seed ^ 0x24), workers))
-        } else {
-            validate(&build_validation_set(seed ^ 0x24), workers)
-        };
+        let nsfv_validation = *carry_mut(&mut ctx.carry)?
+            .nsfv
+            .get_or_insert_with(|| validate(&build_validation_set(seed ^ 0x24), workers));
         let previews_nsfv: Vec<(ImageMeasures, Day)> = kept
             .previews
             .iter()

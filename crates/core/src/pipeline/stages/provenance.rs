@@ -5,11 +5,9 @@
 //! empty [`ProvenanceResult`] if it fails twice, rather than aborting a
 //! run that already paid for the crawl.
 
-use crate::pipeline::ctx::require;
+use crate::pipeline::ctx::{carry_mut, require};
 use crate::pipeline::{Stage, StageCtx, StageError};
-use crate::provenance::{
-    analyse_provenance, analyse_provenance_memo, PackForAnalysis, ProvenanceResult,
-};
+use crate::provenance::{analyse_provenance_memo, PackForAnalysis, ProvenanceResult};
 use crimebb::ActorId;
 
 /// Produces `provenance`.
@@ -52,37 +50,19 @@ impl Stage for ProvenanceStage {
             .iter()
             .map(|p| world.corpus.thread(p.link.thread).author)
             .collect();
-        let provenance = if ctx.options.stream.is_some() {
-            // Streaming fork: reverse-search outcomes are pure in
-            // `(hash, posted)` against the static index + Wayback
-            // services, so earlier epochs' queries are served from the
-            // carry memo and only genuinely new `(image, post)` pairs
-            // pay the linear index scan.
-            let memo = &mut ctx
-                .carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .provenance
-                .memo;
-            analyse_provenance_memo(
-                &world.index,
-                &world.wayback,
-                &world.origins,
-                &packs_for_analysis,
-                &pack_authors,
-                previews_nsfv,
-                memo,
-            )
-        } else {
-            analyse_provenance(
-                &world.index,
-                &world.wayback,
-                &world.origins,
-                &packs_for_analysis,
-                &pack_authors,
-                previews_nsfv,
-            )
-        };
+        // Reverse-search outcomes are pure in `(hash, posted)` against
+        // the static index + Wayback services, so earlier slices'
+        // queries are served from the carry memo and only genuinely new
+        // `(image, post)` pairs pay the linear index scan.
+        let provenance = analyse_provenance_memo(
+            &world.index,
+            &world.wayback,
+            &world.origins,
+            &packs_for_analysis,
+            &pack_authors,
+            previews_nsfv,
+            &mut carry_mut(&mut ctx.carry)?.provenance.memo,
+        );
         ctx.note_items(packs_for_analysis.len() + previews_nsfv.len());
         ctx.provenance = Some(provenance);
         Ok(())

@@ -7,14 +7,12 @@
 //! this serial section, so the outcome is worker-independent.
 
 use crate::extract::EwhoringSet;
-use crate::features::thread_tokens_at;
 use crate::pipeline::corruption::RecordErrorKind;
-use crate::pipeline::ctx::require;
+use crate::pipeline::ctx::{carry_mut, require};
 use crate::pipeline::{ForumRow, Stage, StageCtx, StageError};
-use crate::topcls::{bootstrap_at, classify_tops, TopClassification};
+use crate::topcls::bootstrap_at;
 use crimebb::{Corpus, ThreadId};
 use std::collections::{HashMap, HashSet};
-use worldgen::epoch_bound;
 
 /// Produces `topcls` and `forums` (Table 1).
 pub struct TopClassifierStage;
@@ -54,116 +52,83 @@ impl Stage for TopClassifierStage {
         } else {
             all_threads
         };
-        let topcls = if let Some(spec) = ctx.options.stream {
-            // Streaming fork: decisions are made once, at each thread's
-            // first-sight epoch boundary, against the bootstrap-frozen
-            // model — epoch N+1 only classifies epoch N+1's new threads.
-            // A fresh carry replays the identical per-epoch chain, which
-            // is what makes warm advance ≡ full recompute.
-            let carry = &mut ctx
-                .carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .topcls;
-            let workers = ctx.options.workers;
-            // Bucket this advance's undecided threads by first-sight
-            // epoch in ONE pass: thread creation days are prefix-stable
-            // under the calendar window, so a thread's epoch never
-            // changes once assigned. This replaces the former per-epoch
-            // full scans (each of which re-evaluated `epoch_bound`
-            // inside the filter closure, per thread) — the epoch bounds
-            // are now hoisted into one small ascending table. Buckets
-            // preserve extraction order, so each sublist is identical
-            // whether computed on the epoch-`j` world (warm) or the
-            // epoch-`upto` one (fresh).
-            let prev_bound = epoch_bound(&world.config, spec.epochs, carry.epoch);
-            let bounds: Vec<_> = (carry.epoch + 1..=spec.upto)
-                .map(|j| epoch_bound(&world.config, spec.epochs, j))
-                .collect();
-            let mut buckets: Vec<Vec<ThreadId>> = vec![Vec::new(); bounds.len()];
-            for &t in classify_input {
-                let created = world.corpus.thread(t).created;
-                // Epoch 1 has no lower cutoff (pre-window threads are
-                // first-sighted there), matching the old filter.
-                if carry.epoch > 0 && created <= prev_bound {
-                    continue; // decided in an earlier advance
-                }
-                // A thread past the last bound is never decided this
-                // advance (same as the old `created <= cutoff` filter).
-                if let Some(i) = bounds.iter().position(|&b| created <= b) {
-                    buckets[i].push(t);
-                }
+        // Decisions are made once, at each thread's first-sight slice
+        // boundary, against the bootstrap-frozen model, so an advance
+        // only classifies its slice's new threads. A fresh carry replays
+        // the identical per-slice chain, which is what makes warm
+        // advance ≡ full recompute.
+        let spec = ctx.slices();
+        let carry = &mut carry_mut(&mut ctx.carry)?.topcls;
+        let workers = ctx.options.workers;
+        // Bucket this advance's undecided threads by first-sight slice
+        // in ONE pass: thread creation days are prefix-stable under the
+        // calendar window, so a thread's slice never changes once
+        // assigned. Buckets preserve extraction order, so each sublist
+        // is identical whether computed on the slice-`j` world (warm) or
+        // the slice-`upto` one (fresh).
+        let prev_bound = spec.bound(&world.config, carry.epoch);
+        let bounds: Vec<_> = (carry.epoch + 1..=spec.upto)
+            .map(|j| spec.bound(&world.config, j))
+            .collect();
+        let mut buckets: Vec<Vec<ThreadId>> = vec![Vec::new(); bounds.len()];
+        for &t in classify_input {
+            let created = world.corpus.thread(t).created;
+            // Slice 1 has no lower cutoff (pre-window threads are
+            // first-sighted there).
+            if carry.epoch > 0 && created <= prev_bound {
+                continue; // decided in an earlier advance
             }
-            for (fresh, &cutoff) in buckets.iter().zip(&bounds) {
-                if carry.model.is_none() {
-                    carry.model = Some(bootstrap_at(
-                        &mut ctx.rng,
-                        &world.corpus,
-                        &world.catalog,
-                        &world.truth,
-                        fresh,
-                        cutoff,
-                        workers,
-                    ));
-                }
-                let model = carry.model.as_ref().expect("bootstrapped above");
-                let decided =
-                    model.decide_at(&world.corpus, &world.catalog, fresh, cutoff, workers);
-                carry
-                    .decisions
-                    .extend(fresh.iter().zip(&decided).map(|(&t, &(ml, h))| (t, ml, h)));
-                // Delta text-index update: only the new threads' tokens
-                // are counted; vocabulary ids are append-stable.
-                let docs: Vec<Vec<String>> = fresh
+            // A thread past the last bound is never decided this advance.
+            if let Some(i) = bounds.iter().position(|&b| created <= b) {
+                buckets[i].push(t);
+            }
+        }
+        for (fresh, &cutoff) in buckets.iter().zip(&bounds) {
+            if carry.model.is_none() {
+                carry.model = Some(bootstrap_at(
+                    &mut ctx.rng,
+                    &world.corpus,
+                    &world.catalog,
+                    &world.truth,
+                    fresh,
+                    cutoff,
+                    workers,
+                ));
+            }
+            let model = carry.model.as_ref().expect("bootstrapped above");
+            let decided = model.decide_at(&world.corpus, &world.catalog, fresh, cutoff, workers);
+            carry.decisions.extend(
+                fresh
                     .iter()
-                    .map(|&t| thread_tokens_at(&world.corpus, t, cutoff))
-                    .collect();
-                carry.index.fold(&docs, workers);
-            }
-            carry.epoch = spec.upto;
-
-            // Assemble the artifact from the carried first-sight
-            // decisions, tallied in current extraction order.
-            let by_thread: HashMap<ThreadId, (bool, bool)> = carry
-                .decisions
-                .iter()
-                .map(|&(t, ml, h)| (t, (ml, h)))
-                .collect();
-            let mut detected = Vec::new();
-            let (mut ml_count, mut heuristic_count, mut both_count) = (0, 0, 0);
-            for &t in classify_input {
-                let (ml, heur) = by_thread.get(&t).copied().unwrap_or((false, false));
-                debug_assert!(by_thread.contains_key(&t), "undecided thread {t}");
-                ml_count += usize::from(ml);
-                heuristic_count += usize::from(heur);
-                both_count += usize::from(ml && heur);
-                if ml || heur {
-                    detected.push(t);
-                }
-            }
-            let model = carry.model.as_ref().expect("at least one epoch ran");
-            TopClassification {
-                hybrid_metrics: model.hybrid_metrics,
-                ml_metrics: model.ml_metrics,
-                heuristic_metrics: model.heuristic_metrics,
-                sample_positives: model.sample_positives,
-                detected,
-                ml_count,
-                heuristic_count,
-                both_count,
-                stream_index: Some(carry.index.stats()),
-            }
-        } else {
-            let (_classifier, topcls) = classify_tops(
-                &mut ctx.rng,
-                &world.corpus,
-                &world.catalog,
-                &world.truth,
-                classify_input,
-                ctx.options.workers,
+                    .zip(&decided)
+                    .map(|(&t, &(ml, h, _))| (t, ml, h)),
             );
-            topcls
-        };
+            // Delta text-index update: only the new threads' tokens are
+            // counted; vocabulary ids are append-stable.
+            let docs: Vec<Vec<String>> = decided.into_iter().map(|(_, _, tokens)| tokens).collect();
+            carry.index.fold(&docs, workers);
+        }
+        carry.epoch = spec.upto;
+
+        // Assemble the artifact from the carried first-sight decisions,
+        // tallied in current extraction order.
+        let by_thread: HashMap<ThreadId, (bool, bool)> = carry
+            .decisions
+            .iter()
+            .map(|&(t, ml, h)| (t, (ml, h)))
+            .collect();
+        debug_assert!(
+            classify_input.iter().all(|t| by_thread.contains_key(t)),
+            "every thread is decided"
+        );
+        let model = carry.model.as_ref().expect("at least one slice ran");
+        let mut topcls = model.tally(
+            classify_input,
+            classify_input
+                .iter()
+                .map(|t| by_thread.get(t).copied().unwrap_or((false, false))),
+        );
+        topcls.stream_index = Some(carry.index.stats());
         let items = classify_input.len();
         let set = require(&ctx.extraction, "extraction")?;
         let forums = forum_rows(&world.corpus, set, &topcls.detected);

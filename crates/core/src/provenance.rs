@@ -144,26 +144,12 @@ fn run_query(
     }
 }
 
-/// Runs the full provenance stage.
-pub fn analyse_provenance(
-    index: &ReverseIndex,
-    wayback: &Wayback,
-    origins: &OriginRegistry,
-    packs: &[PackForAnalysis],
-    pack_authors: &[crimebb::ActorId],
-    previews: &[(ImageMeasures, Day)],
-) -> ProvenanceResult {
-    analyse_with(origins, packs, pack_authors, previews, &mut |m, posted| {
-        run_query(index, wayback, m, posted)
-    })
-}
-
-/// [`analyse_provenance`] with a cross-run memo of reverse-search
-/// outcomes, keyed `(hash, posted)`. A hit skips the linear index scan
-/// and the Wayback lookups; the memoised value is exact because
-/// [`QueryOutcome`] is pure in the key for fixed services. Fresh
-/// outcomes are appended to `memo` in first-query order, so warm and
-/// fresh carriers build identical memos for the same prefix.
+/// Runs the full provenance stage (§4.5) with a cross-run memo of
+/// reverse-search outcomes, keyed `(hash, posted)`. A hit skips the
+/// linear index scan and the Wayback lookups; the memoised value is
+/// exact because [`QueryOutcome`] is pure in the key for fixed services.
+/// Fresh outcomes are appended to `memo` in first-query order, so warm
+/// and fresh carriers build identical memos for the same prefix.
 pub fn analyse_provenance_memo(
     index: &ReverseIndex,
     wayback: &Wayback,
@@ -173,34 +159,22 @@ pub fn analyse_provenance_memo(
     previews: &[(ImageMeasures, Day)],
     memo: &mut Vec<(RobustHash, Day, QueryOutcome)>,
 ) -> ProvenanceResult {
-    let mut known: HashMap<(RobustHash, Day), QueryOutcome> =
-        memo.iter().map(|(h, d, q)| ((*h, *d), q.clone())).collect();
-    let mut fresh: Vec<(RobustHash, Day, QueryOutcome)> = Vec::new();
-    let result = analyse_with(origins, packs, pack_authors, previews, &mut |m, posted| {
+    assert_eq!(packs.len(), pack_authors.len(), "author per pack");
+    let mut known: HashMap<(RobustHash, Day), usize> = memo
+        .iter()
+        .enumerate()
+        .map(|(i, (h, d, _))| ((*h, *d), i))
+        .collect();
+    let mut query = |m: &ImageMeasures, posted: Day| -> QueryOutcome {
         let key = (m.hash, posted);
-        if let Some(hit) = known.get(&key) {
-            return hit.clone();
+        if let Some(&i) = known.get(&key) {
+            return memo[i].2.clone();
         }
         let q = run_query(index, wayback, m, posted);
-        known.insert(key, q.clone());
-        fresh.push((key.0, key.1, q.clone()));
+        known.insert(key, memo.len());
+        memo.push((key.0, key.1, q.clone()));
         q
-    });
-    memo.extend(fresh);
-    result
-}
-
-/// The §4.5 aggregation over an arbitrary query function — the seam
-/// that lets the memoised and direct paths share one traversal, so a
-/// memo hit cannot drift from a recomputed outcome.
-fn analyse_with(
-    origins: &OriginRegistry,
-    packs: &[PackForAnalysis],
-    pack_authors: &[crimebb::ActorId],
-    previews: &[(ImageMeasures, Day)],
-    query: &mut dyn FnMut(&ImageMeasures, Day) -> QueryOutcome,
-) -> ProvenanceResult {
-    assert_eq!(packs.len(), pack_authors.len(), "author per pack");
+    };
     let mut result = ProvenanceResult {
         analysed_packs: packs.len(),
         ..ProvenanceResult::default()
@@ -321,24 +295,27 @@ mod tests {
         );
     }
 
-    #[test]
-    fn end_to_end_provenance_over_generated_world() {
-        use worldgen::{World, WorldConfig};
-        let w = World::generate(WorldConfig::test_scale(0x960));
-
-        // Build pack inputs straight from ground truth (pipeline wiring is
-        // tested at the pipeline level).
+    /// Pack inputs built straight from ground truth (pipeline wiring is
+    /// tested at the pipeline level): the first `limit` hosted packs of
+    /// the kinds `keep` admits, `images` measured images each, with
+    /// their authors.
+    fn truth_packs(
+        w: &worldgen::World,
+        keep: impl Fn(worldgen::PackKind) -> bool,
+        limit: usize,
+        images: usize,
+    ) -> (Vec<PackForAnalysis>, Vec<crimebb::ActorId>) {
         let mut packs = Vec::new();
         let mut authors = Vec::new();
-        for rec in w.truth.packs.iter().take(40) {
+        for rec in w.truth.packs.iter().filter(|r| keep(r.kind)).take(limit) {
             if let Some(entry) = w.web.entry(&rec.url) {
-                if let websim::HostedObject::Pack { images } = &entry.object {
+                if let websim::HostedObject::Pack { images: hosted } = &entry.object {
                     packs.push(PackForAnalysis {
                         thread: rec.thread,
                         posted: rec.posted,
-                        images: images
+                        images: hosted
                             .iter()
-                            .take(12)
+                            .take(images)
                             .map(|s| ImageMeasures::of(&s.render()))
                             .collect(),
                     });
@@ -346,8 +323,25 @@ mod tests {
                 }
             }
         }
+        (packs, authors)
+    }
+
+    #[test]
+    fn end_to_end_provenance_over_generated_world() {
+        use worldgen::{World, WorldConfig};
+        let w = World::generate(WorldConfig::test_scale(0x960));
+
+        let (packs, authors) = truth_packs(&w, |_| true, 40, 12);
         assert!(!packs.is_empty());
-        let r = analyse_provenance(&w.index, &w.wayback, &w.origins, &packs, &authors, &[]);
+        let r = analyse_provenance_memo(
+            &w.index,
+            &w.wayback,
+            &w.origins,
+            &packs,
+            &authors,
+            &[],
+            &mut Vec::new(),
+        );
         assert_eq!(r.analysed_packs, packs.len());
         assert!(r.packs.total >= packs.len());
         // Standard/saturated packs dominate, so most queries match.
@@ -377,53 +371,43 @@ mod tests {
         }
     }
 
-    /// The memoised path must agree with the direct path on a cold memo,
-    /// and a warm re-run must add no entries (every query is a hit) while
-    /// still producing the identical result.
+    /// A warm re-run must add no memo entries (every query is a hit)
+    /// while producing the identical result, and a memo hit must return
+    /// exactly the outcome a fresh query computes.
     #[test]
-    fn memoised_analysis_matches_direct_and_reuses_entries() {
+    fn memoised_analysis_replays_queries_and_reuses_entries() {
         use worldgen::{World, WorldConfig};
         let w = World::generate(WorldConfig::test_scale(0x962));
-        let mut packs = Vec::new();
-        let mut authors = Vec::new();
-        for rec in w.truth.packs.iter().take(20) {
-            if let Some(entry) = w.web.entry(&rec.url) {
-                if let websim::HostedObject::Pack { images } = &entry.object {
-                    packs.push(PackForAnalysis {
-                        thread: rec.thread,
-                        posted: rec.posted,
-                        images: images
-                            .iter()
-                            .take(10)
-                            .map(|s| ImageMeasures::of(&s.render()))
-                            .collect(),
-                    });
-                    authors.push(rec.actor);
-                }
-            }
-        }
+        let (packs, authors) = truth_packs(&w, |_| true, 20, 10);
         assert!(!packs.is_empty());
         let previews: Vec<(ImageMeasures, Day)> = packs
             .iter()
-            .flat_map(|p| p.images.iter().take(1).map(|m| (m.clone(), p.posted)))
+            .flat_map(|p| p.images.iter().take(1).map(|m| (*m, p.posted)))
             .collect();
 
-        let direct = analyse_provenance(
-            &w.index, &w.wayback, &w.origins, &packs, &authors, &previews,
-        );
         let mut memo = Vec::new();
         let cold = analyse_provenance_memo(
             &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, &mut memo,
         );
         let snap = |r: &ProvenanceResult| serde_json::to_string(r).unwrap();
-        assert_eq!(snap(&direct), snap(&cold));
         assert!(!memo.is_empty());
+        for (hash, posted, outcome) in &memo {
+            let m = packs
+                .iter()
+                .flat_map(|p| &p.images)
+                .find(|m| m.hash == *hash)
+                .unwrap();
+            assert_eq!(
+                serde_json::to_string(&run_query(&w.index, &w.wayback, m, *posted)).unwrap(),
+                serde_json::to_string(outcome).unwrap()
+            );
+        }
 
         let filled = memo.len();
         let warm = analyse_provenance_memo(
             &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, &mut memo,
         );
-        assert_eq!(snap(&direct), snap(&warm));
+        assert_eq!(snap(&cold), snap(&warm));
         assert_eq!(memo.len(), filled, "warm re-run adds no memo entries");
     }
 
@@ -431,31 +415,24 @@ mod tests {
     fn zero_match_packs_are_counted_per_actor() {
         use worldgen::{PackKind, World, WorldConfig};
         let w = World::generate(WorldConfig::test_scale(0x961));
-        let mut packs = Vec::new();
-        let mut authors = Vec::new();
-        for rec in &w.truth.packs {
-            if rec.kind != PackKind::MirroredAll && rec.kind != PackKind::SelfMade {
-                continue;
-            }
-            if let Some(entry) = w.web.entry(&rec.url) {
-                if let websim::HostedObject::Pack { images } = &entry.object {
-                    packs.push(PackForAnalysis {
-                        thread: rec.thread,
-                        posted: rec.posted,
-                        images: images
-                            .iter()
-                            .take(8)
-                            .map(|s| ImageMeasures::of(&s.render()))
-                            .collect(),
-                    });
-                    authors.push(rec.actor);
-                }
-            }
-        }
+        let (packs, authors) = truth_packs(
+            &w,
+            |kind| kind == PackKind::MirroredAll || kind == PackKind::SelfMade,
+            usize::MAX,
+            8,
+        );
         if packs.is_empty() {
             return; // tiny world without zero-match packs: nothing to test
         }
-        let r = analyse_provenance(&w.index, &w.wayback, &w.origins, &packs, &authors, &[]);
+        let r = analyse_provenance_memo(
+            &w.index,
+            &w.wayback,
+            &w.origins,
+            &packs,
+            &authors,
+            &[],
+            &mut Vec::new(),
+        );
         // Mirrored/self-made packs must be (near) zero-match.
         assert!(
             r.zero_match_packs as f64 / packs.len() as f64 > 0.8,

@@ -10,7 +10,9 @@
 //! skimmed promising threads), while *labels* come from ground truth (the
 //! annotator reads the thread and is assumed accurate).
 
-use crate::features::{thread_stats, thread_stats_at, FeatureExtractor};
+use crate::features::{
+    thread_stats_at, thread_tokens_at, FeatureExtractor, ThreadStats, OPEN_CUTOFF,
+};
 use crimebb::{Corpus, ThreadId};
 use linsvm::{confusion, BinaryMetrics, LinearSvm, SparseVec, SvmConfig};
 use rand::rngs::StdRng;
@@ -33,8 +35,7 @@ pub const TRAIN_SIZE: usize = 800;
 /// account for both the number of question marks and the presence of
 /// keywords related to buying to discard threads asking for packs".
 pub fn heuristic_is_top(corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> bool {
-    let s = thread_stats(corpus, catalog, thread);
-    s.top_kw >= 2.0 && s.question_marks == 0.0 && s.request_kw == 0.0
+    heuristic_is_top_at(corpus, catalog, thread, OPEN_CUTOFF)
 }
 
 /// [`heuristic_is_top`] as of the end of day `cutoff` — the heuristic's
@@ -46,13 +47,17 @@ pub fn heuristic_is_top_at(
     thread: ThreadId,
     cutoff: Day,
 ) -> bool {
-    let s = thread_stats_at(corpus, catalog, thread, cutoff);
+    heuristic_says_top(&thread_stats_at(corpus, catalog, thread, cutoff))
+}
+
+/// The heuristic's rule over a thread's statistical block.
+fn heuristic_says_top(s: &ThreadStats) -> bool {
     s.top_kw >= 2.0 && s.question_marks == 0.0 && s.request_kw == 0.0
 }
 
-/// Streaming-mode text-index diagnostics: the incrementally maintained
-/// corpus vocabulary / document-frequency table (vocab union + new-doc
-/// rows per epoch, never a from-scratch rebuild).
+/// Text-index diagnostics of the classifier fold: the incrementally
+/// maintained corpus vocabulary / document-frequency table (vocab union
+/// + new-doc rows per slice, never a from-scratch rebuild).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamIndexStats {
     /// Terms in the incrementally unioned vocabulary.
@@ -82,32 +87,10 @@ pub struct TopClassification {
     pub heuristic_count: usize,
     /// Flagged by both (paper: 1 995).
     pub both_count: usize,
-    /// Streaming runs only: incremental text-index diagnostics.
-    /// `None` in batch mode.
+    /// Incremental text-index diagnostics. The stage always fills it
+    /// in; it stays an `Option` so reports serialized without it still
+    /// load.
     pub stream_index: Option<StreamIndexStats>,
-}
-
-/// The trained hybrid classifier plus its feature extractor.
-pub struct TopClassifier {
-    extractor: FeatureExtractor,
-    svm: LinearSvm,
-}
-
-impl TopClassifier {
-    /// ML-side decision for one thread.
-    pub fn ml_is_top(&self, corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> bool {
-        let fv = self.features(corpus, catalog, thread);
-        self.svm.predict(&fv)
-    }
-
-    fn features(&self, corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> SparseVec {
-        self.extractor.features(corpus, catalog, thread)
-    }
-
-    /// Hybrid decision (ML OR heuristic).
-    pub fn is_top(&self, corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> bool {
-        self.ml_is_top(corpus, catalog, thread) || heuristic_is_top(corpus, catalog, thread)
-    }
 }
 
 /// Selects the annotation sample: a mix of lexicon-promising threads and a
@@ -120,150 +103,7 @@ pub fn annotation_sample(
     threads: &[ThreadId],
     size: usize,
 ) -> Vec<ThreadId> {
-    let size = size.min(threads.len());
-    let mut promising: Vec<ThreadId> = Vec::new();
-    let mut rest: Vec<ThreadId> = Vec::new();
-    for &t in threads {
-        let s = thread_stats(corpus, catalog, t);
-        if s.top_kw >= 1.0 && s.question_marks == 0.0 {
-            promising.push(t);
-        } else {
-            rest.push(t);
-        }
-    }
-    promising.shuffle(rng);
-    rest.shuffle(rng);
-    let n_promising = (size * 2 / 5).min(promising.len());
-    let mut sample: Vec<ThreadId> = promising.into_iter().take(n_promising).collect();
-    sample.extend(rest.into_iter().take(size - sample.len()));
-    sample.truncate(size);
-    sample
-}
-
-/// Trains the hybrid classifier on the annotated sample and applies it to
-/// every extracted thread.
-///
-/// Feature extraction and the full-corpus application sweep run across
-/// `workers` threads (0 = all cores) with results reassembled in input
-/// order, so the output is identical for any worker count — only the
-/// annotation sampling draws from `rng`, and it stays serial.
-pub fn classify_tops(
-    rng: &mut StdRng,
-    corpus: &Corpus,
-    catalog: &SiteCatalog,
-    truth: &GroundTruth,
-    threads: &[ThreadId],
-    workers: usize,
-) -> (TopClassifier, TopClassification) {
-    classify_tops_with_fit(rng, corpus, catalog, truth, threads, workers, |train| {
-        FeatureExtractor::fit(corpus, train, workers)
-    })
-}
-
-/// [`classify_tops`] with the feature fit injected. The sharded driver
-/// passes a closure that farms the training-set tokenisation out to
-/// supervised shard workers and fits on the concatenated documents
-/// ([`FeatureExtractor::fit_from_docs`]); `fit` is called exactly where
-/// the batch path calls [`FeatureExtractor::fit`], so the annotation
-/// rng stream on `rng` is untouched and the classifier is byte-
-/// identical whenever the injected fit is.
-pub fn classify_tops_with_fit(
-    rng: &mut StdRng,
-    corpus: &Corpus,
-    catalog: &SiteCatalog,
-    truth: &GroundTruth,
-    threads: &[ThreadId],
-    workers: usize,
-    fit: impl FnOnce(&[ThreadId]) -> FeatureExtractor,
-) -> (TopClassifier, TopClassification) {
-    // 1. Annotate.
-    let sample = annotation_sample(rng, corpus, catalog, threads, ANNOTATION_SAMPLE);
-    let labels: Vec<bool> = sample.iter().map(|&t| truth.is_top(t)).collect();
-    let sample_positives = labels.iter().filter(|&&l| l).count();
-
-    // 2. 800/200 split, fit features on train only.
-    let n_train = (sample.len() * TRAIN_SIZE / ANNOTATION_SAMPLE).max(1);
-    let (train_idx, test_idx) = linsvm::train_test_split(sample.len(), n_train, 0x5711);
-    let train_threads: Vec<ThreadId> = train_idx.iter().map(|&i| sample[i]).collect();
-    let extractor = fit(&train_threads);
-
-    let rows = |idx: &[usize]| -> Vec<SparseVec> {
-        let picked: Vec<ThreadId> = idx.iter().map(|&i| sample[i]).collect();
-        extractor.features_many(corpus, catalog, &picked, workers)
-    };
-    let mut train_x = rows(&train_idx);
-    let mut train_y: Vec<bool> = train_idx.iter().map(|&i| labels[i]).collect();
-    // The sample is ~1:5 imbalanced; duplicating half the positives (a
-    // 1.5× class weight) keeps the hinge loss from under-weighting recall
-    // without flooding precision.
-    let positives: Vec<SparseVec> = train_x
-        .iter()
-        .zip(&train_y)
-        .filter(|&(_, &y)| y)
-        .map(|(x, _)| x.clone())
-        .collect();
-    for p in positives.into_iter().step_by(2) {
-        train_x.push(p);
-        train_y.push(true);
-    }
-    let test_x = rows(&test_idx);
-    let test_y: Vec<bool> = test_idx.iter().map(|&i| labels[i]).collect();
-
-    let svm = LinearSvm::train(&train_x, &train_y, SvmConfig::default());
-    let classifier = TopClassifier { extractor, svm };
-
-    // 3. Held-out evaluation of ML, heuristic and hybrid.
-    let ml_pred: Vec<bool> = test_x.iter().map(|x| classifier.svm.predict(x)).collect();
-    let heur_pred: Vec<bool> = test_idx
-        .iter()
-        .map(|&i| heuristic_is_top(corpus, catalog, sample[i]))
-        .collect();
-    let hybrid_pred: Vec<bool> = ml_pred
-        .iter()
-        .zip(&heur_pred)
-        .map(|(&m, &h)| m || h)
-        .collect();
-
-    // 4. Apply to the full extracted set: the per-thread decisions are
-    // independent, so both classifier sides run data-parallel; the tallies
-    // fold serially in input order.
-    let decisions: Vec<(bool, bool)> = crate::par::par_map(threads, workers, |&t| {
-        (
-            classifier.ml_is_top(corpus, catalog, t),
-            heuristic_is_top(corpus, catalog, t),
-        )
-    });
-    let mut detected = Vec::new();
-    let mut ml_count = 0;
-    let mut heuristic_count = 0;
-    let mut both_count = 0;
-    for (&t, &(ml, heur)) in threads.iter().zip(&decisions) {
-        if ml {
-            ml_count += 1;
-        }
-        if heur {
-            heuristic_count += 1;
-        }
-        if ml && heur {
-            both_count += 1;
-        }
-        if ml || heur {
-            detected.push(t);
-        }
-    }
-
-    let result = TopClassification {
-        hybrid_metrics: confusion(&hybrid_pred, &test_y).metrics(),
-        ml_metrics: confusion(&ml_pred, &test_y).metrics(),
-        heuristic_metrics: confusion(&heur_pred, &test_y).metrics(),
-        sample_positives,
-        detected,
-        ml_count,
-        heuristic_count,
-        both_count,
-        stream_index: None,
-    };
-    (classifier, result)
+    annotation_sample_at(rng, corpus, catalog, threads, size, OPEN_CUTOFF)
 }
 
 /// [`annotation_sample`] as of the end of day `cutoff`: the promising
@@ -298,10 +138,10 @@ pub fn annotation_sample_at(
     sample
 }
 
-/// The bootstrap-frozen classifier of streaming mode: model and held-out
-/// metrics trained once at the first epoch boundary, then applied
-/// unchanged to every later epoch's new threads. Serialisable so the
-/// epoch carry can freeze it across advances.
+/// The bootstrap-frozen hybrid classifier: model and held-out metrics
+/// trained once at the first slice boundary, then applied unchanged to
+/// every later slice's new threads. Serialisable so the epoch carry can
+/// freeze it across advances.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BootstrapModel {
     /// The frozen feature extractor (vocabulary + IDF at the boundary).
@@ -318,11 +158,14 @@ pub struct BootstrapModel {
     pub sample_positives: usize,
 }
 
-/// Trains the streaming bootstrap model: [`classify_tops`] steps 1–3
-/// with every input windowed to `cutoff` (the epoch-1 boundary).
-/// `threads` must be the threads existing by the cutoff, in extraction
-/// order. Pure in `(visible prefix, rng state)`, so the epoch-e corpus
-/// replays the epoch-1 training bit-exactly.
+/// Trains the bootstrap model on the annotated sample, with every input
+/// windowed to `cutoff` (the first slice's boundary): annotate, split
+/// 800/200, fit features on the training side, train the SVM, and
+/// evaluate ML, heuristic, and hybrid on the held-out side. Only the
+/// annotation sampling draws from `rng`. `threads` must be the threads
+/// existing by the cutoff, in extraction order. Pure in `(visible
+/// prefix, rng state)`, so a later corpus replays the training
+/// bit-exactly.
 pub fn bootstrap_at(
     rng: &mut StdRng,
     corpus: &Corpus,
@@ -386,9 +229,11 @@ pub fn bootstrap_at(
 }
 
 impl BootstrapModel {
-    /// First-sight decisions `(ml, heuristic)` for `threads`, each
-    /// evaluated on the thread state as of `cutoff`, across `workers`
-    /// threads in input order.
+    /// First-sight decisions `(ml, heuristic, tokens)` for `threads`,
+    /// each evaluated on the thread state as of `cutoff`, across
+    /// `workers` threads in input order. The thread's tokens as of the
+    /// cutoff come back with its decision, so a caller indexing the text
+    /// does not tokenise it again.
     pub fn decide_at(
         &self,
         corpus: &Corpus,
@@ -396,14 +241,44 @@ impl BootstrapModel {
         threads: &[ThreadId],
         cutoff: Day,
         workers: usize,
-    ) -> Vec<(bool, bool)> {
+    ) -> Vec<(bool, bool, Vec<String>)> {
         crate::par::par_map(threads, workers, |&t| {
-            (
-                self.svm
-                    .predict(&self.extractor.features_at(corpus, catalog, t, cutoff)),
-                heuristic_is_top_at(corpus, catalog, t, cutoff),
-            )
+            let stats = thread_stats_at(corpus, catalog, t, cutoff);
+            let tokens = thread_tokens_at(corpus, t, cutoff);
+            let ml = self.svm.predict(&self.extractor.row(&stats, &tokens));
+            (ml, heuristic_says_top(&stats), tokens)
         })
+    }
+
+    /// Tallies `(ml, heuristic)` decisions, one per thread of `threads`
+    /// in order, into the §4.1 artifact: a thread is a detected TOP when
+    /// either side flags it. `stream_index` is left for the caller.
+    pub fn tally(
+        &self,
+        threads: &[ThreadId],
+        decisions: impl IntoIterator<Item = (bool, bool)>,
+    ) -> TopClassification {
+        let mut detected = Vec::new();
+        let (mut ml_count, mut heuristic_count, mut both_count) = (0, 0, 0);
+        for (&t, (ml, heur)) in threads.iter().zip(decisions) {
+            ml_count += usize::from(ml);
+            heuristic_count += usize::from(heur);
+            both_count += usize::from(ml && heur);
+            if ml || heur {
+                detected.push(t);
+            }
+        }
+        TopClassification {
+            hybrid_metrics: self.hybrid_metrics,
+            ml_metrics: self.ml_metrics,
+            heuristic_metrics: self.heuristic_metrics,
+            sample_positives: self.sample_positives,
+            detected,
+            ml_count,
+            heuristic_count,
+            both_count,
+            stream_index: None,
+        }
     }
 }
 
@@ -418,6 +293,22 @@ mod tests {
         World::generate(WorldConfig::test_scale(0x70C5))
     }
 
+    /// Trains on the whole corpus as one slice and classifies every
+    /// thread, the way the stage does on a generated world.
+    fn classify(rng: &mut StdRng, w: &World, threads: &[ThreadId]) -> TopClassification {
+        let model = bootstrap_at(
+            rng,
+            &w.corpus,
+            &w.catalog,
+            &w.truth,
+            threads,
+            OPEN_CUTOFF,
+            2,
+        );
+        let decisions = model.decide_at(&w.corpus, &w.catalog, threads, OPEN_CUTOFF, 2);
+        model.tally(threads, decisions.into_iter().map(|(ml, h, _)| (ml, h)))
+    }
+
     #[test]
     fn hybrid_classifier_reaches_low_nineties() {
         // Held-out metrics need a reasonably sized test split; use a 5%
@@ -429,7 +320,7 @@ mod tests {
         let set = extract_ewhoring_threads(&w.corpus);
         let threads = set.all_threads();
         let mut rng = rng_from_seed(1);
-        let (_, result) = classify_tops(&mut rng, &w.corpus, &w.catalog, &w.truth, &threads, 2);
+        let result = classify(&mut rng, &w, &threads);
         // Paper: precision 92%, recall 93%, F1 92%.
         assert!(
             result.hybrid_metrics.recall > 0.80,
@@ -449,7 +340,7 @@ mod tests {
         let set = extract_ewhoring_threads(&w.corpus);
         let threads = set.all_threads();
         let mut rng = rng_from_seed(2);
-        let (_, r) = classify_tops(&mut rng, &w.corpus, &w.catalog, &w.truth, &threads, 2);
+        let r = classify(&mut rng, &w, &threads);
         assert!(r.detected.len() >= r.ml_count.max(r.heuristic_count));
         assert_eq!(
             r.detected.len(),
@@ -468,7 +359,7 @@ mod tests {
         let set = extract_ewhoring_threads(&w.corpus);
         let threads = set.all_threads();
         let mut rng = rng_from_seed(3);
-        let (_, r) = classify_tops(&mut rng, &w.corpus, &w.catalog, &w.truth, &threads, 2);
+        let r = classify(&mut rng, &w, &threads);
         let planted = w.truth.top_count() as f64;
         let detected = r.detected.len() as f64;
         assert!(

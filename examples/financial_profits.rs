@@ -7,7 +7,10 @@
 //! ```
 
 use ewhoring_core::extract::extract_ewhoring_threads;
-use ewhoring_core::finance::{analyse_currency_exchange, analyse_earnings, harvest_earnings};
+use ewhoring_core::finance::{
+    analyse_currency_exchange, analyse_earnings, harvest_earnings_stream,
+};
+use ewhoring_core::pipeline::EpochCarry;
 use ewhoring_core::report::quantiles;
 use safety::SafetyGate;
 
@@ -16,7 +19,9 @@ fn main() {
     let threads = extract_ewhoring_threads(&world.corpus).all_threads();
     let gate = SafetyGate::new(world.hashlist.clone());
 
-    let harvest = harvest_earnings(&world, &gate, &threads);
+    // One fresh fold over the whole post list, as the finance stage runs it.
+    let mut carry = EpochCarry::default();
+    let harvest = harvest_earnings_stream(&world, &gate, &threads, &mut carry.finance);
     println!(
         "harvest: {} earnings threads → {} posts with links → {} unique URLs",
         harvest.earnings_threads, harvest.posts_with_links, harvest.unique_urls

@@ -7,26 +7,24 @@
 //! ```
 
 use ewhoring_core::crawl::crawl_tops;
-use ewhoring_core::extract::extract_ewhoring_threads;
 use ewhoring_core::nsfv::ImageMeasures;
-use ewhoring_core::provenance::{analyse_provenance, sample_pack_images, PackForAnalysis};
-use ewhoring_core::topcls::classify_tops;
+use ewhoring_core::pipeline::{Pipeline, PipelineOptions};
+use ewhoring_core::provenance::{analyse_provenance_memo, sample_pack_images, PackForAnalysis};
 use safety::{HostingRegion, SafetyGate, ScreenOutcome, SiteType};
 
 fn main() {
     let world = ewhoring_suite::demo_world(77);
 
-    // Stage 1+2: find eWhoring threads, then the ones offering packs.
-    let threads = extract_ewhoring_threads(&world.corpus).all_threads();
-    let mut rng = synthrand::rng_from_seed(1);
-    let (_, tops) = classify_tops(
-        &mut rng,
-        &world.corpus,
-        &world.catalog,
-        &world.truth,
-        &threads,
-        1,
-    );
+    // Stage 1+2: find eWhoring threads, then the ones offering packs —
+    // the first two stages of the pipeline.
+    let ctx = Pipeline::new(PipelineOptions {
+        workers: 1,
+        ..PipelineOptions::default()
+    })
+    .run_prefix(&world, 2)
+    .expect("extract and top_classifier run on a generated world");
+    let threads = ctx.all_threads().expect("extract ran");
+    let tops = ctx.topcls().expect("top_classifier ran");
     println!(
         "{} eWhoring threads; {} classified as offering packs (P={:.2} R={:.2})",
         threads.len(),
@@ -94,13 +92,14 @@ fn main() {
         });
         authors.push(world.corpus.thread(p.link.thread).author);
     }
-    let prov = analyse_provenance(
+    let prov = analyse_provenance_memo(
         &world.index,
         &world.wayback,
         &world.origins,
         &packs,
         &authors,
         &previews_nsfv,
+        &mut Vec::new(),
     );
     println!(
         "reverse search: packs {}/{} matched (ratio {:.1}), previews {}/{} (ratio {:.1})",

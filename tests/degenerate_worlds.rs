@@ -68,13 +68,14 @@ fn pipeline_handles_empty_top_detection() {
     assert_eq!(crawl.total_tops, 0);
     assert!(crawl.previews.is_empty() && crawl.packs.is_empty());
     // Downstream stages accept the empty inputs.
-    let prov = ewhoring_core::provenance::analyse_provenance(
+    let prov = ewhoring_core::provenance::analyse_provenance_memo(
         &world.index,
         &world.wayback,
         &world.origins,
         &[],
         &[],
         &[],
+        &mut Vec::new(),
     );
     assert_eq!(prov.packs.total, 0);
     assert_eq!(prov.distinct_domains, 0);

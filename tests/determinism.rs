@@ -80,9 +80,9 @@ fn report_is_byte_identical_across_worker_counts() {
 /// unsharded driver at *every* shard count — including `1` (pure
 /// supervision overhead), counts that divide the forum list unevenly,
 /// and counts exceeding it — and at every worker count inside each
-/// shard. Extraction is per-forum independent, the actor fold is
-/// order-insensitive under forum-major concatenation, and the edge
-/// replay preserves the batch insertion order, so nothing may move.
+/// shard. Extraction is per-forum independent, the actor fold merges
+/// order-insensitively, and the replayed edges build the same sorted,
+/// integer-weighted graph the `actors` fold does, so nothing may move.
 #[test]
 fn sharded_run_is_byte_identical_to_the_unsharded_driver() {
     use ewhoring_core::pipeline::{Pipeline, PipelineOptions};
@@ -108,6 +108,32 @@ fn sharded_run_is_byte_identical_to_the_unsharded_driver() {
             );
         }
     }
+}
+
+/// A run driven one stage at a time through the public surface
+/// (`StageCtx::new` + `Stage::run`, no retry or timing driver) must
+/// produce the snapshot `Pipeline::run` produces, byte for byte: both
+/// fold the world as generated into the fresh carry `StageCtx::new`
+/// creates.
+#[test]
+fn stage_by_stage_run_is_byte_identical_to_pipeline_run() {
+    use ewhoring_core::pipeline::{snapshot_json, Pipeline, PipelineOptions, StageCtx};
+
+    let world = ewhoring_suite::demo_world(0xD37);
+    let options = PipelineOptions {
+        k_key_actors: 12,
+        workers: 2,
+        ..PipelineOptions::default()
+    };
+    let mut ctx = StageCtx::new(&world, options);
+    for stage in Pipeline::stages() {
+        stage
+            .run(&mut ctx)
+            .unwrap_or_else(|e| panic!("stage {}: {e}", stage.name()));
+    }
+    let staged = snapshot_json(&ctx.into_report().expect("every artifact")).expect("renders");
+    let driven = snapshot_json(&Pipeline::new(options).run(&world)).expect("renders");
+    assert_eq!(staged.as_bytes(), driven.as_bytes());
 }
 
 #[test]

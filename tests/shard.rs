@@ -43,8 +43,8 @@ fn restarted_shard_leaves_no_trace_in_the_report() {
     );
     let s = recovered.supervision;
     assert_eq!(
-        s.shards_run, 6,
-        "3 shards through 2 supervised rounds (survey + tokenize)"
+        s.shards_run, 3,
+        "3 shards through 1 supervised survey round"
     );
     assert_eq!(s.shards_restarted, 1, "only the poisoned shard restarted");
     assert_eq!(s.shards_quarantined, 0);
@@ -100,7 +100,10 @@ fn budget_exhausted_shard_degrades_deterministically() {
 
     let s = degraded.supervision;
     assert_eq!(s.shards_quarantined, 1);
-    assert_eq!(s.shards_run, 8, "4 shards through 2 supervised rounds");
+    assert_eq!(
+        s.shards_run, 4,
+        "4 shards through 1 supervised survey round"
+    );
 
     // Degradation is real: the lost partition's forums are missing, so
     // the report differs from a clean run…
