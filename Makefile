@@ -26,8 +26,12 @@ clippy:
 build:
 	$(CARGO) build $(OFFLINE) --release --workspace
 
+# The root package's tests (the tier-1 check), then the service crate's
+# own unit tests and wire tests (`crates/bench/tests/serve.rs`), which a
+# root-package `cargo test` does not run.
 test:
 	$(CARGO) test $(OFFLINE) -q
+	$(CARGO) test $(OFFLINE) -q -p ewhoring-bench
 
 # The criterion benches must at least compile, even where running them
 # would take too long — catches bench-only API drift.

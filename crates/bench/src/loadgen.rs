@@ -87,12 +87,14 @@ impl Client {
         })
     }
 
+    /// Sends the request line and its `\n` in one write (a separate
+    /// `\n` write stalls under Nagle until the server's delayed ACK),
+    /// then reads one response line.
     fn call(&mut self, request: &Request) -> Result<Response, String> {
-        let line = request.encode();
+        let mut line = request.encode();
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
             .map_err(|e| format!("send failed: {e}"))?;
         let mut response = String::new();
         self.reader

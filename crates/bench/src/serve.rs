@@ -14,6 +14,12 @@
 //! is given — from the on-disk stage journal across server restarts,
 //! shared with batch runs pointed at the same directory.
 //!
+//! Each response line goes out with its `\n` in one write: a separate
+//! one-byte `\n` write waits under Nagle for the client's delayed ACK
+//! (~40 ms per request on Linux). Request lines are read through a
+//! [`MAX_REQUEST_LINE`] bound, so a client that never sends `\n`
+//! cannot grow server memory without limit.
+//!
 //! `shutdown` finishes the requesting connection, stops the acceptor,
 //! lets in-flight connections drain, and returns from [`Server::run`].
 
@@ -24,7 +30,7 @@ use ewhoring_core::pipeline::{
 };
 use serde::Value;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,6 +38,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use worldgen::World;
+
+/// The longest request line the server reads, in bytes (`\n`
+/// excluded). Requests are a few hundred bytes; a longer line gets an
+/// error response and the connection is closed.
+pub const MAX_REQUEST_LINE: u64 = 64 * 1024;
 
 /// A bound pipeline service, ready to [`run`](Server::run).
 pub struct Server {
@@ -45,6 +56,11 @@ pub struct Server {
     /// state, and an interleaved advance on one engine would be a bug,
     /// not a throughput win.
     engines: Mutex<HashMap<String, EpochEngine>>,
+    /// Encoded `report` response lines (`\n` included) by run key. A
+    /// ready key's report is a settled slot of the cache and never
+    /// changes, so its line is encoded on the first `report` and shared
+    /// after that. Only success lines are stored.
+    reports: Mutex<HashMap<String, Arc<str>>>,
     /// Mirrors the cache's journal root so resumed engines pick their
     /// checkpoints up from the same directory batch runs write to.
     journal_dir: Option<String>,
@@ -70,6 +86,7 @@ impl Server {
             local_addr,
             cache: Arc::new(cache),
             engines: Mutex::new(HashMap::new()),
+            reports: Mutex::new(HashMap::new()),
             journal_dir: args.journal_dir.clone(),
             pool: args.pool.max(1),
             shutdown: Arc::new(AtomicBool::new(false)),
@@ -138,32 +155,49 @@ impl Server {
         }
     }
 
-    /// One connection: request lines in, response lines out, until EOF
-    /// or a `shutdown` request.
+    /// One connection: request lines in, response lines out, until EOF,
+    /// an over-long request line, or a `shutdown` request.
     fn handle_connection(&self, stream: TcpStream) -> std::io::Result<()> {
         let mut writer = stream.try_clone()?;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut reader = BufReader::new(stream);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            // One byte past the bound tells an over-long line from one
+            // of exactly `MAX_REQUEST_LINE` bytes plus its `\n`.
+            let read = (&mut reader)
+                .take(MAX_REQUEST_LINE + 1)
+                .read_until(b'\n', &mut buf)?;
+            if read == 0 {
+                return Ok(());
             }
-            let (response, stop) = self.handle_line(&line);
+            if buf.last() != Some(&b'\n') && read as u64 > MAX_REQUEST_LINE {
+                let error = Response::error(format!(
+                    "request line exceeds {MAX_REQUEST_LINE} bytes; closing the connection"
+                ));
+                return writer.write_all(terminated(error).as_bytes());
+            }
+            let (response, stop) = match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => self.handle_line(line),
+                Err(e) => (
+                    terminated(Response::error(format!("request line is not UTF-8: {e}"))),
+                    false,
+                ),
+            };
             writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
             if stop {
                 self.initiate_shutdown();
                 return Ok(());
             }
         }
-        Ok(())
     }
 
-    /// Dispatches one request line; the flag says "stop serving after
-    /// responding" (a `shutdown` request).
-    fn handle_line(&self, line: &str) -> (String, bool) {
-        match Request::decode(line) {
+    /// Dispatches one request line to its response line (`\n`
+    /// included); the flag says "stop serving after responding" (a
+    /// `shutdown` request).
+    fn handle_line(&self, line: &str) -> (Arc<str>, bool) {
+        let (response, stop) = match Request::decode(line) {
             Err(e) => (Response::error(e), false),
             Ok(Request::Shutdown) => (Response::ok(vec![("cmd", str_val("shutdown"))]), true),
             Ok(Request::Run(spec)) => {
@@ -191,9 +225,10 @@ impl Server {
                     false,
                 )
             }
-            Ok(Request::Report(key)) => (self.report_response(&key), false),
+            Ok(Request::Report(key)) => return (self.report_line(&key), false),
             Ok(Request::Health(key)) => (self.health_response(&key), false),
-        }
+        };
+        (terminated(response), stop)
     }
 
     /// One `advance` request: look up (or lazily build) the epoch
@@ -275,17 +310,34 @@ impl Server {
         }
     }
 
-    fn report_response(&self, key: &str) -> String {
-        match self.cache.get(key) {
-            Some(report) => match snapshot_json(&report) {
-                Ok(snapshot) => Response::ok(vec![
+    /// The `report` response line for `key`: shared from the memo once
+    /// the key has answered one `report`, encoded (and stored) on the
+    /// first. Error lines are built per request and never stored.
+    fn report_line(&self, key: &str) -> Arc<str> {
+        if let Some(line) = self
+            .reports
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(key)
+        {
+            return Arc::clone(line);
+        }
+        let Some(report) = self.cache.get(key) else {
+            return terminated(Response::error(not_ready(self.cache.status(key), key)));
+        };
+        // Rendered unlocked: a racing first `report` for the same key
+        // renders the same bytes, and the first stored line wins.
+        match snapshot_json(&report) {
+            Ok(snapshot) => {
+                let line = terminated(Response::ok(vec![
                     ("cmd", str_val("report")),
                     ("run_key", str_val(key)),
                     ("snapshot", str_val(&snapshot)),
-                ]),
-                Err(e) => Response::error(format!("snapshot failed: {e}")),
-            },
-            None => Response::error(not_ready(self.cache.status(key), key)),
+                ]));
+                let mut reports = self.reports.lock().unwrap_or_else(|e| e.into_inner());
+                Arc::clone(reports.entry(key.to_string()).or_insert(line))
+            }
+            Err(e) => terminated(Response::error(format!("snapshot failed: {e}"))),
         }
     }
 
@@ -306,6 +358,12 @@ impl Server {
         self.shutdown.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(self.local_addr);
     }
+}
+
+/// A response line with its `\n`, ready for a single write.
+fn terminated(mut response: String) -> Arc<str> {
+    response.push('\n');
+    Arc::from(response)
 }
 
 fn str_val(s: &str) -> Value {

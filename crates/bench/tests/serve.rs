@@ -1,14 +1,17 @@
 //! End-to-end tests of the pipeline service over a real TCP socket:
 //! the full request/response lifecycle, byte-identical wire-delivered
-//! snapshots, and single-flight collapse of concurrent identical runs.
+//! snapshots, single-flight collapse of concurrent identical runs,
+//! round trips free of Nagle/delayed-ACK stalls, and the request-line
+//! bounds.
 
 use ewhoring_bench::cli::ServeArgs;
 use ewhoring_bench::proto::{Request, Response};
-use ewhoring_bench::serve::Server;
+use ewhoring_bench::serve::{Server, MAX_REQUEST_LINE};
 use ewhoring_core::pipeline::{snapshot_json, stream_world, Pipeline, RunSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use worldgen::World;
 
 fn tiny(seed: u64) -> RunSpec {
@@ -57,14 +60,19 @@ impl Wire {
         }
     }
 
-    fn send_line(&mut self, line: &str) -> Response {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .expect("send request");
+    /// Sends `bytes` plus `\n` in one write and returns the raw
+    /// response line (empty once the server has closed the connection).
+    fn send_raw(&mut self, bytes: &[u8]) -> String {
+        let mut line = bytes.to_vec();
+        line.push(b'\n');
+        self.writer.write_all(&line).expect("send request");
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("read response");
+        response
+    }
+
+    fn send_line(&mut self, line: &str) -> Response {
+        let response = self.send_raw(line.as_bytes());
         Response::parse(response.trim_end()).expect("parse response")
     }
 
@@ -102,7 +110,13 @@ fn full_lifecycle_over_the_wire_matches_the_batch_snapshot() {
 
     // The wire-delivered snapshot is byte-identical to a batch run of
     // the same spec (the acceptance criterion behind `smoke-serve`).
-    let report = wire.call(&Request::Report(key.clone()));
+    // The second `report` is served from the encoded-line memo (the
+    // earlier unknown-key error was not stored): the same bytes again.
+    let report_line = Request::Report(key.clone()).encode();
+    let first = wire.send_raw(report_line.as_bytes());
+    let second = wire.send_raw(report_line.as_bytes());
+    assert_eq!(first, second, "a memoized report line differs");
+    let report = Response::parse(first.trim_end()).expect("parse report");
     assert!(report.is_ok(), "{:?}", report.error_text());
     let wire_snapshot = report.str_field("snapshot").expect("snapshot field");
     let world = World::generate(spec.world_config());
@@ -284,5 +298,96 @@ fn concurrent_identical_wire_requests_collapse_to_one_execution() {
     );
 
     Wire::connect(&addr).call(&Request::Shutdown);
+    handle.join().expect("server thread exits");
+}
+
+/// Small responses on a persistent connection come back without a
+/// Nagle/delayed-ACK stall (~40 ms each when a line and its `\n` go out
+/// as two writes): 50 `status`/`health` round trips to a ready key take
+/// well under the 2 s that stall would cost them.
+#[test]
+fn small_round_trips_on_one_connection_do_not_stall() {
+    let (_server, handle, addr) = start_server(1);
+    let spec = tiny(0x5A11);
+    let mut wire = Wire::connect(&addr);
+    let run = wire.call(&Request::Run(spec));
+    assert!(run.is_ok(), "{:?}", run.error_text());
+    let key = run.str_field("run_key").expect("run key").to_string();
+
+    let t = Instant::now();
+    for i in 0..50 {
+        let response = if i % 2 == 0 {
+            wire.call(&Request::Status(key.clone()))
+        } else {
+            wire.call(&Request::Health(key.clone()))
+        };
+        assert!(response.is_ok(), "{:?}", response.error_text());
+    }
+    let elapsed = t.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(500),
+        "50 round trips took {elapsed:?}"
+    );
+
+    wire.call(&Request::Shutdown);
+    handle.join().expect("server thread exits");
+}
+
+/// The request-line bounds: an over-long line gets an error response
+/// and the connection closes; a non-UTF-8 line gets an error response
+/// and the connection keeps serving; the server still accepts fresh
+/// connections afterwards.
+#[test]
+fn oversize_and_non_utf8_lines_get_typed_errors() {
+    let (_server, handle, addr) = start_server(1);
+
+    let mut wire = Wire::connect(&addr);
+    let oversize = wire.send_line(&"x".repeat(MAX_REQUEST_LINE as usize + 1));
+    assert!(!oversize.is_ok());
+    assert!(
+        oversize
+            .error_text()
+            .unwrap_or_default()
+            .contains("exceeds"),
+        "{:?}",
+        oversize.error_text()
+    );
+    let mut rest = String::new();
+    let closed = wire.reader.read_line(&mut rest);
+    assert!(
+        matches!(closed, Ok(0) | Err(_)),
+        "connection still open after an over-long line: {rest:?}"
+    );
+
+    let mut wire = Wire::connect(&addr);
+    let garbled = wire.send_raw(b"{\"cmd\":\"status\",\"run_key\":\"\xff\xfe\"}");
+    let garbled = Response::parse(garbled.trim_end()).expect("parse response");
+    assert!(!garbled.is_ok());
+    assert!(
+        garbled.error_text().unwrap_or_default().contains("UTF-8"),
+        "{:?}",
+        garbled.error_text()
+    );
+    let status = wire.call(&Request::Status("feed".to_string()));
+    assert_eq!(status.str_field("status"), Some("unknown"));
+    // Hang up: the pool's one worker serves one connection at a time.
+    drop(wire);
+
+    // A line of exactly the bound is read whole (and then rejected as
+    // JSON, not as over-long).
+    let padded = format!("{}x", " ".repeat(MAX_REQUEST_LINE as usize - 1));
+    let at_bound = Wire::connect(&addr).send_line(&padded);
+    assert!(!at_bound.is_ok());
+    assert!(
+        at_bound
+            .error_text()
+            .unwrap_or_default()
+            .contains("not JSON"),
+        "{:?}",
+        at_bound.error_text()
+    );
+
+    let down = Wire::connect(&addr).call(&Request::Shutdown);
+    assert!(down.is_ok());
     handle.join().expect("server thread exits");
 }
