@@ -27,11 +27,13 @@ build:
 	$(CARGO) build $(OFFLINE) --release --workspace
 
 # The root package's tests (the tier-1 check), then the service crate's
-# own unit tests and wire tests (`crates/bench/tests/serve.rs`), which a
-# root-package `cargo test` does not run.
+# own unit tests and wire tests (`crates/bench/tests/serve.rs`), then the
+# unit tests of world generation, the reverse index and the parallel
+# layer — none of which a root-package `cargo test` runs.
 test:
 	$(CARGO) test $(OFFLINE) -q
 	$(CARGO) test $(OFFLINE) -q -p ewhoring-bench
+	$(CARGO) test $(OFFLINE) -q -p worldgen -p revsearch -p parkit
 
 # The criterion benches must at least compile, even where running them
 # would take too long — catches bench-only API drift.

@@ -35,7 +35,9 @@ fn generate_world(spec: &RunSpec) -> World {
 /// rendered error string for the dispatcher to print and exit on.
 pub fn main(args: &ReportArgs) -> Result<(), String> {
     let spec = args.spec;
+    let t = Instant::now();
     let world = generate_world(&spec);
+    let generate_us = t.elapsed().as_micros();
     let options = PipelineOptions {
         poison: args.poison,
         ..spec.options()
@@ -234,6 +236,7 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
             spec.scale,
             spec.seed,
             spec.workers,
+            generate_us,
             &serial.timings,
             &report.timings,
             report.quarantine.len(),
@@ -264,7 +267,9 @@ pub fn bench_main(args: &BenchArgs) -> Result<(), String> {
         upto: 0,
         shards: 0,
     };
+    let t = Instant::now();
     let world = generate_world(&spec);
+    let generate_us = t.elapsed().as_micros();
     let t = Instant::now();
     let parallel = Pipeline::new(spec.options()).run(&world);
     eprintln!(
@@ -283,6 +288,7 @@ pub fn bench_main(args: &BenchArgs) -> Result<(), String> {
         spec.scale,
         spec.seed,
         spec.workers,
+        generate_us,
         &serial.timings,
         &parallel.timings,
         parallel.quarantine.len(),
@@ -632,13 +638,15 @@ fn aggregate_items_per_sec(timings: &[StageTiming]) -> f64 {
 /// `wall_us`, `items`, `items_per_sec`, and `source` (computed vs
 /// journal-loaded — a loaded stage's wall clock is I/O, not stage work,
 /// and must never be read as a compute baseline) at workers=1 vs
-/// workers=N, plus the aggregate speedup over [`PARALLEL_STAGES`] and the
-/// run's quarantined-record count. Hand-assembled so the schema is
-/// explicit in one place.
+/// workers=N, plus the aggregate speedup over [`PARALLEL_STAGES`], the
+/// run's quarantined-record count and the world-generation wall time
+/// (`generate_us`, which precedes both runs). Hand-assembled so the
+/// schema is explicit in one place.
 fn bench_baseline_json(
     scale: f64,
     seed: u64,
     workers: usize,
+    generate_us: u128,
     serial: &[StageTiming],
     parallel: &[StageTiming],
     quarantined_records: usize,
@@ -687,7 +695,7 @@ fn bench_baseline_json(
         ""
     };
     format!(
-        "{{\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"available_parallelism\": {cores},{note}\n  \"quarantined_records\": {quarantined_records},\n  \"parallel_stages\": [{}],\n  \"runs\": [\n{},\n{}\n  ],\n  \"aggregate_speedup\": {speedup:.2}\n}}\n",
+        "{{\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"available_parallelism\": {cores},{note}\n  \"generate_us\": {generate_us},\n  \"quarantined_records\": {quarantined_records},\n  \"parallel_stages\": [{}],\n  \"runs\": [\n{},\n{}\n  ],\n  \"aggregate_speedup\": {speedup:.2}\n}}\n",
         PARALLEL_STAGES
             .iter()
             .map(|s| format!("\"{s}\""))

@@ -33,15 +33,21 @@ pub struct Match {
     pub similarity: f64,
 }
 
-/// A linear-scan perceptual-hash index.
+/// A perceptual-hash index that compares each run of equal hashes once.
 ///
-/// TinEye's scale needs sharded search; at this simulation's scale (tens of
-/// thousands of entries) an exhaustive scan of 256-bit Hamming distances is
-/// faster than any index that would complicate determinism, and is itself a
-/// measured benchmark target.
+/// TinEye's scale needs sharded search. Here the index holds tens of
+/// thousands of entries but only a few thousand distinct hashes: each
+/// published image adds all its copies contiguously, under one hash. So
+/// beside the entries the index keeps one `(hash, first entry id)` per
+/// maximal run of consecutive entries sharing a hash, and a query
+/// computes one 256-bit Hamming distance per run. Every entry of a run
+/// has its run's distance, so the result is the exhaustive scan's.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ReverseIndex {
     entries: Vec<IndexedImage>,
+    /// `(hash, first entry id)` of each maximal run of consecutive
+    /// entries with one hash, in entry order.
+    runs: Vec<(RobustHash, u32)>,
 }
 
 impl ReverseIndex {
@@ -50,8 +56,12 @@ impl ReverseIndex {
         ReverseIndex::default()
     }
 
-    /// Adds a crawled image.
+    /// Adds a crawled image, extending the last run when it shares its
+    /// hash.
     pub fn add(&mut self, image: IndexedImage) {
+        if self.runs.last().is_none_or(|&(hash, _)| hash != image.hash) {
+            self.runs.push((image.hash, self.entries.len() as u32));
+        }
         self.entries.push(image);
     }
 
@@ -78,15 +88,17 @@ impl ReverseIndex {
     /// Queries with an explicit Hamming threshold, returning matches
     /// ordered by ascending distance (stable on entry order for ties).
     pub fn query_with_threshold(&self, hash: &RobustHash, threshold: u32) -> Vec<Match> {
-        let mut hits: Vec<(u32, u32)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| {
-                let d = hash.distance(&e.hash);
-                (d <= threshold).then_some((d, i as u32))
-            })
-            .collect();
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        for (r, (run_hash, first)) in self.runs.iter().enumerate() {
+            let d = hash.distance(run_hash);
+            if d <= threshold {
+                let end = self
+                    .runs
+                    .get(r + 1)
+                    .map_or(self.entries.len() as u32, |&(_, next)| next);
+                hits.extend((*first..end).map(|i| (d, i)));
+            }
+        }
         hits.sort_unstable();
         hits.into_iter()
             .map(|(d, i)| {
@@ -107,6 +119,7 @@ impl ReverseIndex {
 mod tests {
     use super::*;
     use imagesim::{ImageClass, ImageSpec, Transform};
+    use rand::Rng;
 
     fn hash_of(model: u32, variant: u64) -> RobustHash {
         RobustHash::of(&ImageSpec::model_photo(ImageClass::ModelNude, model, variant).render())
@@ -232,6 +245,105 @@ mod tests {
             .query_with_threshold(&RobustHash::of(&noisy), 0)
             .is_empty());
         assert_eq!(idx.query_with_threshold(&RobustHash::of(&base), 0).len(), 1);
+    }
+
+    /// The exhaustive scan the run index replaces: every entry's own
+    /// distance, sorted by `(distance, id)`, as `(id, similarity bits)`.
+    fn brute_force(idx: &ReverseIndex, hash: &RobustHash, threshold: u32) -> Vec<(u32, u64)> {
+        let mut hits: Vec<(u32, u32)> = (0..idx.len() as u32)
+            .map(|i| (hash.distance(&idx.entry(i).hash), i))
+            .filter(|&(d, _)| d <= threshold)
+            .collect();
+        hits.sort_unstable();
+        hits.into_iter()
+            .map(|(d, i)| (i, (1.0 - f64::from(d) / 256.0).to_bits()))
+            .collect()
+    }
+
+    fn flip_bits(hash: RobustHash, rng: &mut rand::rngs::StdRng, n: u32) -> RobustHash {
+        let mut out = hash;
+        for _ in 0..n {
+            let b = rng.gen_range(0..256usize);
+            out.bits[b / 64] ^= 1 << (b % 64);
+        }
+        out
+    }
+
+    #[test]
+    fn run_query_equals_exhaustive_scan() {
+        // `safety::SAFETY_MATCH_THRESHOLD`; this crate does not depend on
+        // `safety`.
+        const SAFETY_THRESHOLD: u32 = 8;
+        let (mut long_runs, mut singles, mut repeats) = (0, 0, 0);
+        for seed in 0..12 {
+            let mut rng = synthrand::rng_from_seed(0x1D3 + seed);
+            // Base hashes plus near neighbours, so every threshold both
+            // admits and rejects some runs.
+            let mut pool = Vec::new();
+            for _ in 0..10 {
+                let base = RobustHash {
+                    bits: [rng.gen(), rng.gen(), rng.gen(), rng.gen()],
+                };
+                pool.push(base);
+                for _ in 0..3 {
+                    let n = rng.gen_range(1..30);
+                    pool.push(flip_bits(base, &mut rng, n));
+                }
+            }
+            let mut idx = ReverseIndex::new();
+            let mut run_hashes: Vec<RobustHash> = Vec::new();
+            for _ in 0..rng.gen_range(1..80) {
+                let hash = pool[rng.gen_range(0..pool.len())];
+                let copies = if rng.gen_bool(0.4) {
+                    1
+                } else {
+                    rng.gen_range(2..8)
+                };
+                for _ in 0..copies {
+                    idx.add(IndexedImage {
+                        hash,
+                        domain: rng.gen_range(0..50),
+                        url: format!("https://d.example/{}", idx.len()),
+                        crawled: Day(rng.gen_range(0..5_000)),
+                    });
+                }
+                if run_hashes.last() == Some(&hash) {
+                    continue;
+                }
+                if run_hashes.contains(&hash) {
+                    repeats += 1;
+                }
+                if copies == 1 {
+                    singles += 1;
+                } else {
+                    long_runs += 1;
+                }
+                run_hashes.push(hash);
+            }
+            let mut queries = pool.clone();
+            for &h in &pool {
+                let n = rng.gen_range(0..24);
+                queries.push(flip_bits(h, &mut rng, n));
+            }
+            queries.push(RobustHash {
+                bits: [rng.gen(), rng.gen(), rng.gen(), rng.gen()],
+            });
+            for q in &queries {
+                for threshold in [0, DEFAULT_MATCH_THRESHOLD, SAFETY_THRESHOLD, 256] {
+                    let hits = idx.query_with_threshold(q, threshold);
+                    let got: Vec<(u32, u64)> = hits
+                        .iter()
+                        .map(|m| (m.entry, m.similarity.to_bits()))
+                        .collect();
+                    assert_eq!(got, brute_force(&idx, q, threshold), "seed {seed}");
+                    for m in &hits {
+                        let e = idx.entry(m.entry);
+                        assert_eq!((m.domain, &m.url, m.crawled), (e.domain, &e.url, e.crawled));
+                    }
+                }
+            }
+        }
+        assert!(long_runs > 50 && singles > 50 && repeats > 50);
     }
 
     #[test]

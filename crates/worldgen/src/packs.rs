@@ -18,7 +18,7 @@
 
 use crate::config::WorldConfig;
 use crate::truth::PackKind;
-use imagesim::{ImageClass, ImageSpec, RobustHash, Transform};
+use imagesim::{Bitmap, ImageClass, ImageSpec, RobustHash, Transform};
 use rand::rngs::StdRng;
 use rand::Rng;
 use revsearch::{IndexedImage, ReverseIndex, Wayback};
@@ -54,7 +54,31 @@ pub struct TopContent {
     pub has_csam: bool,
 }
 
+/// A reverse-index entry drawn during the walk. `hash` is the slot of
+/// its spec in [`PackFactory::owed`].
+struct OwedIndexEntry {
+    hash: usize,
+    domain: u32,
+    url: String,
+    crawled: Day,
+}
+
+/// A hash-list entry drawn during the walk, its hash named by slot as in
+/// [`OwedIndexEntry`].
+struct OwedListEntry {
+    hash: usize,
+    case: u32,
+    verifiable: bool,
+    severity: Option<Severity>,
+}
+
 /// Fabricates packs, previews and their web presence.
+///
+/// The walk draws everything from the world's RNG but computes no robust
+/// hash: rendering seeds its own RNG from the spec, so a hash depends on
+/// the spec alone. Each spec the index or hash list needs is owed once,
+/// and [`PackFactory::finish`] hashes them all on every core before it
+/// adds the entries in the order they were drawn.
 pub struct PackFactory<'w> {
     catalog: &'w SiteCatalog,
     origins: &'w OriginRegistry,
@@ -66,8 +90,15 @@ pub struct PackFactory<'w> {
     pub p_linked: f64,
     /// Remaining hash-list images to plant.
     csam_budget: u32,
-    /// Planted hash-list specs (recorded into ground truth by the caller).
-    pub csam_specs: Vec<ImageSpec>,
+    /// Planted hash-list specs, handed to the caller by
+    /// [`PackFactory::finish`] for the ground truth.
+    csam_specs: Vec<ImageSpec>,
+    /// Specs owed a robust hash, once each, in publication order.
+    owed: Vec<ImageSpec>,
+    /// Reverse-index entries in drawing order.
+    owed_index: Vec<OwedIndexEntry>,
+    /// Hash-list entries in drawing order.
+    owed_hashlist: Vec<OwedListEntry>,
     /// Next fresh model id.
     next_model: u32,
     /// Next hash-list case id.
@@ -111,6 +142,9 @@ impl<'w> PackFactory<'w> {
             p_linked: 0.187,
             csam_budget: config.csam_images,
             csam_specs: Vec::new(),
+            owed: Vec::new(),
+            owed_index: Vec::new(),
+            owed_hashlist: Vec::new(),
             next_model: 1,
             next_case: 1,
             expected_tops: expected_tops.max(1),
@@ -124,6 +158,36 @@ impl<'w> PackFactory<'w> {
     /// Number of hash-list images still unplanted.
     pub fn csam_remaining(&self) -> u32 {
         self.csam_budget
+    }
+
+    /// Records that `spec` needs a robust hash; returns its slot.
+    fn owe_hash(&mut self, spec: ImageSpec) -> usize {
+        self.owed.push(spec);
+        self.owed.len() - 1
+    }
+
+    /// Renders and hashes every owed spec on all cores, then adds the
+    /// recorded reverse-index and hash-list entries in drawing order.
+    /// Returns the planted hash-list specs for the ground truth.
+    pub fn finish(self) -> Vec<ImageSpec> {
+        let hashes = hash_specs(&self.owed);
+        for e in self.owed_index {
+            self.index.add(IndexedImage {
+                hash: hashes[e.hash],
+                domain: e.domain,
+                url: e.url,
+                crawled: e.crawled,
+            });
+        }
+        for e in self.owed_hashlist {
+            self.hashlist.add(HashListEntry {
+                hash: hashes[e.hash],
+                case: e.case,
+                verifiable: e.verifiable,
+                severity: e.severity,
+            });
+        }
+        self.csam_specs
     }
 
     fn fresh_url(&mut self, rng: &mut StdRng, kind: SiteKind) -> (textkit::Url, &'static Site) {
@@ -172,7 +236,7 @@ impl<'w> PackFactory<'w> {
             // Crawled only after the forum post (TinEye lag).
             Day((posted.0 + rng.gen_range(10..700)).min(self.end.0))
         };
-        let hash = RobustHash::of(&spec.render());
+        let hash = self.owe_hash(spec);
         for s in 0..n_sites {
             let domain_idx = self.origins.sample_source(rng) as u32;
             let domain = &self.origins.get(domain_idx as usize).name;
@@ -184,7 +248,7 @@ impl<'w> PackFactory<'w> {
             let crawled = Day(
                 (first_crawled.0 + if s == 0 { 0 } else { rng.gen_range(0..600) }).min(self.end.0),
             );
-            self.index.add(IndexedImage {
+            self.owed_index.push(OwedIndexEntry {
                 hash,
                 domain: domain_idx,
                 url: url.clone(),
@@ -314,8 +378,9 @@ impl<'w> PackFactory<'w> {
                 4 => Severity::C,
                 _ => Severity::B,
             });
-            self.hashlist.add(HashListEntry {
-                hash: RobustHash::of(&spec.render()),
+            let hash = self.owe_hash(spec);
+            self.owed_hashlist.push(OwedListEntry {
+                hash,
                 case: self.next_case,
                 verifiable,
                 severity,
@@ -331,7 +396,6 @@ impl<'w> PackFactory<'w> {
             // copies, which the pipeline reports alongside the download
             // URL. The paper's 61 actioned URLs were dominated by a single
             // victim (60 URLs), so web presence concentrates on case 1.
-            let hash = RobustHash::of(&spec.render());
             let n_copies = if self.next_case == 1 {
                 30 + rng.gen_range(0..12)
             } else {
@@ -340,7 +404,7 @@ impl<'w> PackFactory<'w> {
             for c in 0..n_copies {
                 let domain_idx = self.origins.sample_source(rng) as u32;
                 let domain = &self.origins.get(domain_idx as usize).name;
-                self.index.add(revsearch::IndexedImage {
+                self.owed_index.push(OwedIndexEntry {
                     hash,
                     domain: domain_idx,
                     url: format!("https://{domain}/p/c{}-{c}", self.next_case),
@@ -496,6 +560,33 @@ impl<'w> PackFactory<'w> {
     }
 }
 
+/// Renders and hashes `specs` in order, one contiguous chunk per core,
+/// each chunk rendering into one reused bitmap. A hash is a pure function
+/// of its spec, so the split never changes the result.
+fn hash_specs(specs: &[ImageSpec]) -> Vec<RobustHash> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let chunk = specs.len().div_ceil(cores).max(1);
+    let hash_chunk = |part: &[ImageSpec]| {
+        let mut bmp = Bitmap::canvas([0; 3]);
+        part.iter()
+            .map(|spec| {
+                spec.render_into(&mut bmp);
+                RobustHash::of(&bmp)
+            })
+            .collect::<Vec<_>>()
+    };
+    std::thread::scope(|s| {
+        let workers: Vec<_> = specs
+            .chunks(chunk)
+            .map(|part| s.spawn(move || hash_chunk(part)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("hash worker panicked"))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,6 +644,7 @@ mod tests {
         assert!(!content.packs.is_empty());
         assert!(content.url_lines.iter().any(|l| l.contains("Download:")));
         assert!(content.url_lines.iter().any(|l| l.contains("Preview:")));
+        factory.finish();
         assert!(!fx.web.is_empty());
         assert!(!fx.index.is_empty());
     }
@@ -606,7 +698,7 @@ mod tests {
             }
         }
         assert_eq!(factory.csam_remaining(), 0);
-        assert_eq!(factory.csam_specs.len(), 4);
+        assert_eq!(factory.finish().len(), 4);
         assert!(planted_total >= 1);
         assert_eq!(fx.hashlist.len(), 4);
     }
@@ -666,6 +758,8 @@ mod tests {
         for _ in 0..5 {
             factory.make_top_content(&mut rng, Day::from_ymd(2018, 12, 1), false, false);
         }
+        factory.finish();
+        assert!(!fx.index.is_empty());
         for i in 0..fx.index.len() {
             assert!(fx.index.entry(i as u32).crawled <= end);
         }

@@ -270,7 +270,7 @@ impl World {
                     );
                 }
             }
-            truth.csam_specs = packs.csam_specs.clone();
+            truth.csam_specs = packs.finish();
         }
 
         let mut web = pack_web;
@@ -576,6 +576,28 @@ mod tests {
         }
         // All nine non-HF forums have discoverable eWhoring threads.
         assert_eq!(per_forum.len(), FORUM_PROFILES.len() - 1, "{per_forum:?}");
+    }
+
+    /// FNV-1a over the ordered image evidence of the `0xAB` world: every
+    /// reverse-index entry in id order, the hash list (a plain `Vec`, so
+    /// its `Debug` is ordered) and the planted specs. Pinned so that a
+    /// change to how or when those hashes are computed cannot reorder or
+    /// alter them unnoticed. (The Wayback is left out: its `Debug`
+    /// follows `HashMap` order.)
+    #[test]
+    fn image_evidence_fingerprint_is_pinned() {
+        let w = world();
+        let mut text = String::new();
+        for i in 0..w.index.len() {
+            let e = w.index.entry(i as u32);
+            text += &format!("{:?}|{}|{}|{}\n", e.hash.bits, e.domain, e.url, e.crawled.0);
+        }
+        text += &format!("{:?}\n{:?}", w.hashlist, w.truth.csam_specs);
+        let fingerprint = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((w.index.len(), w.hashlist.len()), (10_720, 8));
+        assert_eq!(fingerprint, 0xe476_6a94_573e_634e);
     }
 
     #[test]
