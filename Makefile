@@ -29,11 +29,15 @@ build:
 # The root package's tests (the tier-1 check), then the service crate's
 # own unit tests and wire tests (`crates/bench/tests/serve.rs`), then the
 # unit tests of world generation, the reverse index and the parallel
-# layer — none of which a root-package `cargo test` runs.
+# layer, then those of the pipeline core and the remaining substrate
+# crates — none of which a root-package `cargo test` runs. `imagesim`
+# stays out until its two known hash-test failures are fixed (ROADMAP
+# item 2).
 test:
 	$(CARGO) test $(OFFLINE) -q
 	$(CARGO) test $(OFFLINE) -q -p ewhoring-bench
 	$(CARGO) test $(OFFLINE) -q -p worldgen -p revsearch -p parkit
+	$(CARGO) test $(OFFLINE) -q -p ewhoring-core -p websim -p safety -p socgraph -p textkit -p linsvm -p crimebb -p synthrand
 
 # The criterion benches must at least compile, even where running them
 # would take too long — catches bench-only API drift.

@@ -5,16 +5,30 @@
 //! (paper §4.3), and TinEye "deals with a broad range of image
 //! transformations, including resizing, cropping, edits, occlusions and
 //! colour changes" (§4.5). Both are proprietary; this module implements a
-//! real 128-bit robust hash with the same qualitative robustness envelope:
+//! real 256-bit robust hash with the same qualitative robustness envelope,
+//! in four 64-bit planes:
 //!
-//! * **block hash** (64 bits): 8×8 block mean luminances thresholded at
-//!   their median — invariant to global brightness shifts and resilient to
+//! * **luma blocks**: 8×8 block mean luminances thresholded at their
+//!   median — invariant to global brightness shifts and resilient to
 //!   per-pixel noise and small occlusions;
-//! * **difference hash** (64 bits): horizontal gradients of a 9×8
-//!   downsample — captures structure, resilient to resizing.
+//! * **horizontal gradients**: signs between neighbouring cells of a 9×8
+//!   grid of area-averaged luminances — captures structure, resilient to
+//!   resizing;
+//! * **vertical gradients**: the same over an 8×9 grid;
+//! * **chroma blocks**: 8×8 block mean warmth (R − B) thresholded at
+//!   their median.
 //!
-//! Neither component is mirror-invariant, matching the paper's observation
-//! that actors mirror images precisely because it defeats reverse search.
+//! The horizontal plane is not mirror-invariant, so neither is the hash,
+//! matching the paper's observation that actors mirror images precisely
+//! because it defeats reverse search.
+//!
+//! [`RobustHash::of`] computes all four planes in one row-major pass over
+//! the raster, sharing its per-pixel accumulator with the fused
+//! measurement kernel ([`crate::measure`], whose module docs give the
+//! argument that it is bit-identical). The per-rectangle planes below
+//! ([`per_rect`]: one `mean_luminance` scan per cell) stay as the oracle
+//! the single pass is tested against, and they hash rasters under 9×9,
+//! where gradient cells can overlap.
 
 use crate::bitmap::Bitmap;
 use serde::{Deserialize, Serialize};
@@ -44,11 +58,9 @@ pub struct RobustHash {
 }
 
 impl RobustHash {
-    /// Computes the hash of a bitmap.
+    /// Computes the hash of a bitmap in one pass over its rows.
     pub fn of(bmp: &Bitmap) -> RobustHash {
-        RobustHash {
-            bits: [block_hash(bmp), dhash(bmp), vdhash(bmp), chroma_hash(bmp)],
-        }
+        crate::measure::robust_hash(bmp)
     }
 
     /// Hamming distance to another hash (0–256).
@@ -63,6 +75,15 @@ impl RobustHash {
     /// True when within `threshold` bits of `other`.
     pub fn matches(&self, other: &RobustHash, threshold: u32) -> bool {
         self.distance(other) <= threshold
+    }
+}
+
+/// The hash computed plane by plane, one rectangle scan per cell: the
+/// oracle behind [`crate::measure::reference`], and the path for rasters
+/// under 9×9.
+pub(crate) fn per_rect(bmp: &Bitmap) -> RobustHash {
+    RobustHash {
+        bits: [block_hash(bmp), dhash(bmp), vdhash(bmp), chroma_hash(bmp)],
     }
 }
 

@@ -14,8 +14,8 @@
 //! * [`transform`] — the modifications actors apply to bypass reverse
 //!   search (paper §4.5): mirroring, watermarks, crops, brightness shifts,
 //!   compression-style noise.
-//! * [`RobustHash`] — a 128-bit perceptual hash (block-mean + gradient
-//!   dHash) with Hamming matching. Like PhotoDNA/TinEye it survives
+//! * [`RobustHash`] — a 256-bit perceptual hash (luma and chroma block
+//!   means, horizontal and vertical gradients) with Hamming matching. Like PhotoDNA/TinEye it survives
 //!   compression, brightness, and small edits, and like them it is *not*
 //!   mirror-invariant — which is exactly why the paper observes actors
 //!   mirroring images to evade matching.

@@ -3,10 +3,12 @@
 //! The NSFV pipeline measures four things about every image: its robust
 //! hash, its exact content digest, its NSFW score, and its OCR word count
 //! (paper §4.3–4.4). Computed independently those are four full scans of
-//! the raster — and the hash alone re-reads every pixel once per plane
-//! through `mean_luminance`. [`measure_with`] walks the raster exactly
-//! once, accumulating all four measurements per row, and is bit-identical
-//! to the multi-pass [`reference`] by construction:
+//! the raster — and the per-rectangle hash ([`hash::per_rect`]) alone
+//! re-reads every pixel once per plane through `mean_luminance`.
+//! [`measure_with`] walks the raster exactly once, accumulating all four
+//! measurements per row, and is bit-identical to the multi-pass
+//! [`reference`] by construction. [`RobustHash::of`] is the same pass with
+//! only the hash accumulator (`HashSums`), so the argument covers it too:
 //!
 //! * Every hash cell (8×8 blocks, 9×8 and 8×9 gradient grids, 8×8 chroma
 //!   blocks) is a contiguous rectangle, and for rasters at least 9×9 the
@@ -27,7 +29,8 @@
 //!   [`crate::ocr::count_words`]) are the very functions the reference
 //!   path calls.
 //!
-//! Rasters smaller than 9×9 fall back to [`reference`]: there the
+//! Rasters smaller than 9×9 fall back to [`reference`] (the hash alone to
+//! [`hash::per_rect`]): there the
 //! `.max(x0 + 1)` clamps in the gradient grids can make cells overlap,
 //! the partition argument breaks, and such rasters are cheap anyway.
 
@@ -55,7 +58,7 @@ pub struct Measures {
 /// gate both hold it to that.
 pub fn reference(bmp: &Bitmap) -> Measures {
     Measures {
-        hash: RobustHash::of(bmp),
+        hash: hash::per_rect(bmp),
         digest: content_digest(bmp),
         nsfw: nsfw::nsfw_score(bmp),
         ocr_words: ocr::ocr_word_count(bmp),
@@ -179,6 +182,114 @@ fn fill_bands<const K: usize>(n: usize, table: &mut Vec<u8>, extents: &mut [usiz
     }
 }
 
+/// Per-cell sums of the four hash planes — 8×8 luma blocks, 8×8 chroma
+/// blocks, the 9×8 and 8×9 gradient cells — accumulated pixel by pixel in
+/// row-major order. The one pass behind both [`measure_with`] and
+/// [`RobustHash::of`].
+struct HashSums {
+    luma: [f32; 64],
+    chroma: [f32; 64],
+    d: [[f32; 9]; 8],
+    v: [[f32; 8]; 9],
+}
+
+impl HashSums {
+    fn new() -> HashSums {
+        HashSums {
+            luma: [0.0; 64],
+            chroma: [0.0; 64],
+            d: [[0.0; 9]; 8],
+            v: [[0.0; 8]; 9],
+        }
+    }
+
+    /// Adds row `y`, whose luminances `s.row_lum` already holds, and hands
+    /// each pixel in order to `each` for the caller's own per-pixel work.
+    #[inline(always)]
+    fn add_row(
+        &mut self,
+        s: &MeasureScratch,
+        y: usize,
+        row: &[[u8; 3]],
+        mut each: impl FnMut([u8; 3]),
+    ) {
+        let by8 = s.blk_row[y] as usize * 8;
+        let drow = &mut self.d[s.d8_row[y] as usize];
+        let vrow = &mut self.v[s.v9_row[y] as usize];
+        for (x, (&p, &l)) in row.iter().zip(&s.row_lum).enumerate() {
+            each(p);
+            let blk = by8 + s.blk_col[x] as usize;
+            self.luma[blk] += l;
+            self.chroma[blk] += p[0] as f32 - p[2] as f32;
+            drow[s.d9_col[x] as usize] += l;
+            vrow[s.v8_col[x] as usize] += l;
+        }
+    }
+
+    /// Finishes with the reference's own divisor expressions and
+    /// thresholds.
+    fn finish(&self, s: &MeasureScratch) -> RobustHash {
+        let mut luma_means = [0.0f32; 64];
+        let mut chroma_means = [0.0f32; 64];
+        for by in 0..8 {
+            for bx in 0..8 {
+                let cnt = s.blk_wx[bx] * s.blk_hy[by];
+                if cnt > 0 {
+                    luma_means[by * 8 + bx] = self.luma[by * 8 + bx] / cnt as f32;
+                    chroma_means[by * 8 + bx] = self.chroma[by * 8 + bx] / cnt as f32;
+                }
+            }
+        }
+        let mut dcells = [[0.0f32; 9]; 8];
+        for (gy, row) in dcells.iter_mut().enumerate() {
+            for (gx, cell) in row.iter_mut().enumerate() {
+                *cell = self.d[gy][gx] / (s.d9_wx[gx] * s.d8_hy[gy]) as f32;
+            }
+        }
+        let mut vcells = [[0.0f32; 8]; 9];
+        for (gy, row) in vcells.iter_mut().enumerate() {
+            for (gx, cell) in row.iter_mut().enumerate() {
+                *cell = self.v[gy][gx] / (s.v8_wx[gx] * s.v9_hy[gy]) as f32;
+            }
+        }
+        RobustHash {
+            bits: [
+                hash::median_bits(&luma_means),
+                hash::dhash_bits(&dcells),
+                hash::vdhash_bits(&vcells),
+                hash::median_bits(&chroma_means),
+            ],
+        }
+    }
+}
+
+/// Fills `s.row_lum` with the luminances of `row`. A pure elementwise map
+/// with no cross-lane state — the compiler auto-vectorizes it, and f32
+/// results are position-independent so vectorization cannot perturb them.
+fn row_luminances(s: &mut MeasureScratch, row: &[[u8; 3]]) {
+    for (l, &p) in s.row_lum.iter_mut().zip(row) {
+        *l = lum(p);
+    }
+}
+
+/// The robust hash in one pass over the rows (see the module docs for why
+/// it equals [`hash::per_rect`]); [`RobustHash::of`] is this.
+pub(crate) fn robust_hash(bmp: &Bitmap) -> RobustHash {
+    let (w, h) = (bmp.width(), bmp.height());
+    if w < 9 || h < 9 {
+        return hash::per_rect(bmp);
+    }
+    let mut scratch = MeasureScratch::new();
+    scratch.prepare(w, h);
+    let mut sums = HashSums::new();
+    for y in 0..h {
+        let row = bmp.row(y);
+        row_luminances(&mut scratch, row);
+        sums.add_row(&scratch, y, row, |_| {});
+    }
+    sums.finish(&scratch)
+}
+
 /// Measures an image in a single pass over its rows, reusing `scratch`.
 /// Bit-identical to [`reference`] (see the module docs for why).
 pub fn measure_with(bmp: &Bitmap, scratch: &mut MeasureScratch) -> Measures {
@@ -187,98 +298,32 @@ pub fn measure_with(bmp: &Bitmap, scratch: &mut MeasureScratch) -> Measures {
         return reference(bmp);
     }
     scratch.prepare(w, h);
-    let MeasureScratch {
-        blk_col,
-        blk_row,
-        d9_col,
-        d8_row,
-        v8_col,
-        v9_row,
-        blk_wx,
-        blk_hy,
-        d9_wx,
-        d8_hy,
-        v8_wx,
-        v9_hy,
-        row_lum,
-        runs,
-        ..
-    } = scratch;
-
-    let mut luma_sum = [0.0f32; 64];
-    let mut chroma_sum = [0.0f32; 64];
-    let mut dsum = [[0.0f32; 9]; 8];
-    let mut vsum = [[0.0f32; 8]; 9];
+    let mut sums = HashSums::new();
     let mut digest = hash::Fnv::new();
     digest.mix((w & 0xFF) as u8);
     digest.mix((h & 0xFF) as u8);
     let mut skin_hits = 0usize;
-    runs.clear();
+    scratch.runs.clear();
 
     for y in 0..h {
         let row = bmp.row(y);
-        // Pure elementwise map with no cross-lane state — the compiler
-        // auto-vectorizes this, and f32 results are position-independent
-        // so vectorization cannot perturb them.
-        for (l, &p) in row_lum.iter_mut().zip(row) {
-            *l = lum(p);
-        }
-        let by8 = blk_row[y] as usize * 8;
-        let drow = &mut dsum[d8_row[y] as usize];
-        let vrow = &mut vsum[v9_row[y] as usize];
-        for (x, (&p, &l)) in row.iter().zip(row_lum.iter()).enumerate() {
+        row_luminances(scratch, row);
+        sums.add_row(scratch, y, row, |p| {
             digest.mix(p[0]);
             digest.mix(p[1]);
             digest.mix(p[2]);
             if is_skin(p) {
                 skin_hits += 1;
             }
-            let blk = by8 + blk_col[x] as usize;
-            luma_sum[blk] += l;
-            chroma_sum[blk] += p[0] as f32 - p[2] as f32;
-            drow[d9_col[x] as usize] += l;
-            vrow[v8_col[x] as usize] += l;
-        }
-        ocr::row_runs_into(y, row_lum, runs);
-    }
-
-    // Finish with the reference's own divisor expressions and thresholds.
-    let mut luma_means = [0.0f32; 64];
-    let mut chroma_means = [0.0f32; 64];
-    for by in 0..8 {
-        for bx in 0..8 {
-            let cnt = blk_wx[bx] * blk_hy[by];
-            if cnt > 0 {
-                luma_means[by * 8 + bx] = luma_sum[by * 8 + bx] / cnt as f32;
-                chroma_means[by * 8 + bx] = chroma_sum[by * 8 + bx] / cnt as f32;
-            }
-        }
-    }
-    let mut dcells = [[0.0f32; 9]; 8];
-    for (gy, row) in dcells.iter_mut().enumerate() {
-        for (gx, cell) in row.iter_mut().enumerate() {
-            *cell = dsum[gy][gx] / (d9_wx[gx] * d8_hy[gy]) as f32;
-        }
-    }
-    let mut vcells = [[0.0f32; 8]; 9];
-    for (gy, row) in vcells.iter_mut().enumerate() {
-        for (gx, cell) in row.iter_mut().enumerate() {
-            *cell = vsum[gy][gx] / (v8_wx[gx] * v9_hy[gy]) as f32;
-        }
+        });
+        ocr::row_runs_into(y, &scratch.row_lum, &mut scratch.runs);
     }
 
     Measures {
-        hash: RobustHash {
-            bits: [
-                hash::median_bits(&luma_means),
-                hash::dhash_bits(&dcells),
-                hash::vdhash_bits(&vcells),
-                hash::median_bits(&chroma_means),
-            ],
-        },
+        hash: sums.finish(scratch),
         digest: digest.0,
         nsfw: nsfw_score_from_fraction(skin_hits as f64 / (w * h) as f64),
-        ocr_words: ocr::count_words(bmp, runs),
+        ocr_words: ocr::count_words(bmp, &scratch.runs),
     }
 }
 
@@ -354,6 +399,35 @@ mod tests {
                 let bmp = t.apply(&base);
                 assert_identical(&bmp, &mut scratch, &format!("{class:?} + {t:?}"));
             }
+        }
+    }
+
+    #[test]
+    fn single_pass_hash_matches_per_rect_oracle() {
+        for (i, class) in all_classes().into_iter().enumerate() {
+            let spec = if class.is_model() {
+                ImageSpec::model_photo(class, i as u32 + 1, i as u64)
+            } else {
+                ImageSpec::of(class, i as u64)
+            };
+            let base = spec.render();
+            for t in all_transforms() {
+                let bmp = t.apply(&base);
+                assert_eq!(
+                    RobustHash::of(&bmp),
+                    hash::per_rect(&bmp),
+                    "{class:?} + {t:?}"
+                );
+            }
+        }
+        // Awkward sizes, then sizes under 9×9 that fall back.
+        let base = ImageSpec::model_photo(ImageClass::ModelNude, 3, 9).render();
+        for (w, h) in [(9, 9), (10, 13), (17, 23), (64, 9), (48, 48)]
+            .into_iter()
+            .chain([(1, 1), (5, 7), (8, 64), (64, 8)])
+        {
+            let bmp = base.resize(w, h);
+            assert_eq!(RobustHash::of(&bmp), hash::per_rect(&bmp), "{w}x{h}");
         }
     }
 

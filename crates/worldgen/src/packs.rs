@@ -23,6 +23,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use revsearch::{IndexedImage, ReverseIndex, Wayback};
 use safety::{HashList, HashListEntry, Severity};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use synthrand::{Day, LogNormal};
 use websim::{
     HostedObject, LinkState, OriginRegistry, Site, SiteCatalog, SiteKind, StoredImage, WebStore,
@@ -55,7 +57,7 @@ pub struct TopContent {
 }
 
 /// A reverse-index entry drawn during the walk. `hash` is the slot of
-/// its spec in [`PackFactory::owed`].
+/// its spec in the factory's [`Hasher`].
 struct OwedIndexEntry {
     hash: usize,
     domain: u32,
@@ -75,9 +77,10 @@ struct OwedListEntry {
 /// Fabricates packs, previews and their web presence.
 ///
 /// The walk draws everything from the world's RNG but computes no robust
-/// hash: rendering seeds its own RNG from the spec, so a hash depends on
-/// the spec alone. Each spec the index or hash list needs is owed once,
-/// and [`PackFactory::finish`] hashes them all on every core before it
+/// hash itself: rendering seeds its own RNG from the spec, so a hash
+/// depends on the spec alone. Each spec the index or hash list needs is
+/// owed once to a [`Hasher`], which hashes it on another thread while the
+/// walk goes on; [`PackFactory::finish`] drains the rest on every core and
 /// adds the entries in the order they were drawn.
 pub struct PackFactory<'w> {
     catalog: &'w SiteCatalog,
@@ -93,8 +96,9 @@ pub struct PackFactory<'w> {
     /// Planted hash-list specs, handed to the caller by
     /// [`PackFactory::finish`] for the ground truth.
     csam_specs: Vec<ImageSpec>,
-    /// Specs owed a robust hash, once each, in publication order.
-    owed: Vec<ImageSpec>,
+    /// Hashes the specs owed a robust hash, once each, in publication
+    /// order.
+    hasher: Hasher,
     /// Reverse-index entries in drawing order.
     owed_index: Vec<OwedIndexEntry>,
     /// Hash-list entries in drawing order.
@@ -142,7 +146,7 @@ impl<'w> PackFactory<'w> {
             p_linked: 0.187,
             csam_budget: config.csam_images,
             csam_specs: Vec::new(),
-            owed: Vec::new(),
+            hasher: Hasher::new(),
             owed_index: Vec::new(),
             owed_hashlist: Vec::new(),
             next_model: 1,
@@ -160,17 +164,12 @@ impl<'w> PackFactory<'w> {
         self.csam_budget
     }
 
-    /// Records that `spec` needs a robust hash; returns its slot.
-    fn owe_hash(&mut self, spec: ImageSpec) -> usize {
-        self.owed.push(spec);
-        self.owed.len() - 1
-    }
-
-    /// Renders and hashes every owed spec on all cores, then adds the
-    /// recorded reverse-index and hash-list entries in drawing order.
-    /// Returns the planted hash-list specs for the ground truth.
+    /// Hashes every owed spec the background worker has not reached, on
+    /// all cores, then adds the recorded reverse-index and hash-list
+    /// entries in drawing order. Returns the planted hash-list specs for
+    /// the ground truth.
     pub fn finish(self) -> Vec<ImageSpec> {
-        let hashes = hash_specs(&self.owed);
+        let hashes = self.hasher.finish();
         for e in self.owed_index {
             self.index.add(IndexedImage {
                 hash: hashes[e.hash],
@@ -236,7 +235,7 @@ impl<'w> PackFactory<'w> {
             // Crawled only after the forum post (TinEye lag).
             Day((posted.0 + rng.gen_range(10..700)).min(self.end.0))
         };
-        let hash = self.owe_hash(spec);
+        let hash = self.hasher.owe(spec);
         for s in 0..n_sites {
             let domain_idx = self.origins.sample_source(rng) as u32;
             let domain = &self.origins.get(domain_idx as usize).name;
@@ -378,7 +377,7 @@ impl<'w> PackFactory<'w> {
                 4 => Severity::C,
                 _ => Severity::B,
             });
-            let hash = self.owe_hash(spec);
+            let hash = self.hasher.owe(spec);
             self.owed_hashlist.push(OwedListEntry {
                 hash,
                 case: self.next_case,
@@ -560,31 +559,164 @@ impl<'w> PackFactory<'w> {
     }
 }
 
-/// Renders and hashes `specs` in order, one contiguous chunk per core,
-/// each chunk rendering into one reused bitmap. A hash is a pure function
-/// of its spec, so the split never changes the result.
-fn hash_specs(specs: &[ImageSpec]) -> Vec<RobustHash> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let chunk = specs.len().div_ceil(cores).max(1);
-    let hash_chunk = |part: &[ImageSpec]| {
-        let mut bmp = Bitmap::canvas([0; 3]);
-        part.iter()
-            .map(|spec| {
-                spec.render_into(&mut bmp);
-                RobustHash::of(&bmp)
-            })
-            .collect::<Vec<_>>()
-    };
-    std::thread::scope(|s| {
-        let workers: Vec<_> = specs
-            .chunks(chunk)
-            .map(|part| s.spawn(move || hash_chunk(part)))
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("hash worker panicked"))
+/// Specs claimed per lock: large enough that the lock is rare next to
+/// rendering and hashing them, small enough that the threads draining at
+/// [`Hasher::finish`] share the tail evenly. The walk wakes the worker
+/// each time this many more specs are owed.
+const HASH_BATCH: usize = 16;
+
+/// Renders and hashes owed specs on a background worker while the RNG
+/// walk that owes them runs.
+///
+/// A hash is a pure function of its spec, so which thread computes it, and
+/// when, changes nothing: every hash lands in its spec's slot. Dropping a
+/// hasher without [`Hasher::finish`] (a panic mid-walk, a test that never
+/// finishes) abandons the unclaimed specs and joins the worker.
+struct Hasher {
+    queue: Arc<HashQueue>,
+    /// The background worker; taken by [`Hasher::finish`] or `Drop`.
+    worker: Option<JoinHandle<()>>,
+}
+
+/// The queue a [`Hasher`] shares with the threads that hash for it.
+struct HashQueue {
+    state: Mutex<QueueState>,
+    /// Signalled when specs arrive or the queue closes.
+    more: Condvar,
+}
+
+struct QueueState {
+    /// Owed specs; a spec's index is its slot.
+    specs: Vec<ImageSpec>,
+    /// The hash of each slot, once computed.
+    hashes: Vec<Option<RobustHash>>,
+    /// Slots below this are claimed by some thread.
+    claimed: usize,
+    /// No more specs will be owed.
+    closed: bool,
+}
+
+impl Hasher {
+    fn new() -> Hasher {
+        let queue = Arc::new(HashQueue {
+            state: Mutex::new(QueueState {
+                specs: Vec::new(),
+                hashes: Vec::new(),
+                claimed: 0,
+                closed: false,
+            }),
+            more: Condvar::new(),
+        });
+        let shared = Arc::clone(&queue);
+        Hasher {
+            queue,
+            worker: Some(std::thread::spawn(move || shared.work())),
+        }
+    }
+
+    /// Queues `spec` for hashing; returns its slot.
+    fn owe(&mut self, spec: ImageSpec) -> usize {
+        let slot = {
+            let mut st = self.queue.lock();
+            st.specs.push(spec);
+            st.hashes.push(None);
+            st.specs.len() - 1
+        };
+        if (slot + 1).is_multiple_of(HASH_BATCH) {
+            self.queue.more.notify_one();
+        }
+        slot
+    }
+
+    /// Closes the queue, hashes what is left on this thread and
+    /// `available_parallelism() − 1` helpers beside the background worker,
+    /// and returns every hash by slot.
+    fn finish(mut self) -> Vec<RobustHash> {
+        self.queue.lock().closed = true;
+        self.queue.more.notify_all();
+        let helpers = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+        std::thread::scope(|s| {
+            for _ in 0..helpers {
+                s.spawn(|| self.queue.work());
+            }
+            self.queue.work();
+        });
+        self.worker
+            .take()
+            .expect("the worker is joined only here or in Drop")
+            .join()
+            .expect("hash worker panicked");
+        let st = self.queue.lock();
+        st.hashes
+            .iter()
+            .map(|h| h.expect("every claimed slot is hashed before its claimer returns"))
             .collect()
-    })
+    }
+}
+
+impl Drop for Hasher {
+    fn drop(&mut self) {
+        {
+            // Every update under this lock leaves the state valid, so a
+            // poisoned guard is safe to use; `Drop` must not panic.
+            let mut st = self
+                .queue
+                .state
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            st.closed = true;
+            st.claimed = st.specs.len();
+        }
+        self.queue.more.notify_all();
+        if let Some(worker) = self.worker.take() {
+            // A worker panic already surfaced, or is moot during unwinding.
+            let _ = worker.join();
+        }
+    }
+}
+
+impl HashQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state
+            .lock()
+            .expect("no thread panics while holding the hash queue")
+    }
+
+    /// Claims batches of unclaimed specs in slot order, renders each into
+    /// one reused bitmap and stores its hash by slot. Waits for more specs
+    /// while the queue is open; returns once it is closed and every slot
+    /// is claimed.
+    fn work(&self) {
+        let mut bmp = Bitmap::canvas([0; 3]);
+        let mut batch = Vec::with_capacity(HASH_BATCH);
+        let mut hashes = Vec::with_capacity(HASH_BATCH);
+        let mut st = self.lock();
+        loop {
+            if st.claimed == st.specs.len() {
+                if st.closed {
+                    return;
+                }
+                st = self
+                    .more
+                    .wait(st)
+                    .expect("no thread panics while holding the hash queue");
+                continue;
+            }
+            let start = st.claimed;
+            let end = (start + HASH_BATCH).min(st.specs.len());
+            st.claimed = end;
+            batch.clear();
+            batch.extend_from_slice(&st.specs[start..end]);
+            drop(st);
+            hashes.clear();
+            hashes.extend(batch.iter().map(|spec: &ImageSpec| {
+                spec.render_into(&mut bmp);
+                Some(RobustHash::of(&bmp))
+            }));
+            st = self.lock();
+            st.hashes[start..end].copy_from_slice(&hashes);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -790,5 +922,77 @@ mod tests {
         let mean = sizes.iter().sum::<f64>() / sizes.len() as f64;
         // 111 288 / 1 255 ≈ 89 images per pack.
         assert!((60.0..120.0).contains(&mean), "mean pack size {mean}");
+    }
+
+    #[test]
+    fn hasher_matches_direct_hashes_across_uneven_bursts() {
+        let mut rng = rng_from_seed(8);
+        let specs: Vec<ImageSpec> = (0..150)
+            .map(|i| {
+                if i % 5 == 0 {
+                    ImageSpec::of(ImageClass::DirectoryThumbnails, rng.gen())
+                } else {
+                    ImageSpec::model_photo(ImageClass::ModelNude, rng.gen_range(1..40), rng.gen())
+                }
+            })
+            .collect();
+        let mut hasher = Hasher::new();
+        let mut owed = 0;
+        for burst in [1, 15, 16, 17, 3, 40, 2, 33, 23] {
+            for spec in &specs[owed..owed + burst] {
+                assert_eq!(hasher.owe(*spec), owed);
+                owed += 1;
+            }
+            // Wait for the worker to claim up to the last wake, so part of
+            // the list is hashed during the walk and the rest at `finish`.
+            let woken = owed / HASH_BATCH * HASH_BATCH;
+            while hasher.queue.lock().claimed < woken {
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(owed, specs.len());
+        let hashes = hasher.finish();
+        assert_eq!(hashes.len(), specs.len());
+        for (slot, (spec, hash)) in specs.iter().zip(&hashes).enumerate() {
+            assert_eq!(*hash, RobustHash::of(&spec.render()), "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn hasher_with_nothing_owed_finishes_empty() {
+        assert!(Hasher::new().finish().is_empty());
+    }
+
+    #[test]
+    fn factory_dropped_mid_walk_joins_its_worker() {
+        let (done, dropped) = std::sync::mpsc::channel();
+        let walker = std::thread::spawn(move || {
+            let mut fx = Fixture::new();
+            let mut factory = PackFactory::new(
+                &fx.config,
+                40,
+                &fx.catalog,
+                &fx.origins,
+                &mut fx.web,
+                &mut fx.index,
+                &mut fx.wayback,
+                &mut fx.hashlist,
+            );
+            factory.p_linked = 1.0;
+            let mut rng = rng_from_seed(7);
+            for _ in 0..3 {
+                factory.make_top_content(&mut rng, Day::from_ymd(2015, 3, 1), false, false);
+            }
+            let queue = Arc::clone(&factory.hasher.queue);
+            drop(factory);
+            // The worker's handle on the queue goes only when it returns.
+            done.send(Arc::strong_count(&queue))
+                .expect("the test waits for the drop");
+        });
+        let handles = dropped
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("dropping a factory mid-walk hung");
+        assert_eq!(handles, 1, "the worker still holds the queue");
+        walker.join().expect("walk thread panicked");
     }
 }
