@@ -106,7 +106,11 @@ bench-epoch:
 # Epoch smoke test wired into `make verify`: a small-scale incremental
 # run must produce a byte-identical snapshot to the one-shot batch run
 # of the same streamed spec (warm advance ≡ fresh recompute), and the
-# final-epoch delta must clear the smoke floor.
+# final-epoch delta must clear the smoke floor. The second pair streams
+# a world whose first epoch has nothing to annotate, so the classifier
+# trains at a later epoch (DESIGN.md §6h): both runs must exit 0 and
+# agree byte for byte.
+UNTRAINED_SEED = 1446698121926109755
 smoke-epoch: build
 	rm -rf .journals/smoke-epoch && mkdir -p .journals/smoke-epoch
 	./target/release/report 0.02 0xE70C --epochs 3 --incremental \
@@ -115,6 +119,13 @@ smoke-epoch: build
 	./target/release/report 0.02 0xE70C --epochs 3 \
 		--snapshot-json .journals/smoke-epoch/full.json > /dev/null
 	cmp .journals/smoke-epoch/incremental.json .journals/smoke-epoch/full.json
+	./target/release/report 0.05 $(UNTRAINED_SEED) --epochs 20 --incremental \
+		--journal-dir .journals/smoke-epoch/journal-untrained \
+		--snapshot-json .journals/smoke-epoch/untrained-incremental.json > /dev/null
+	./target/release/report 0.05 $(UNTRAINED_SEED) --epochs 20 \
+		--snapshot-json .journals/smoke-epoch/untrained-full.json > /dev/null
+	cmp .journals/smoke-epoch/untrained-incremental.json \
+		.journals/smoke-epoch/untrained-full.json
 	./target/release/report bench epoch --scale 0.02 --workers 2 --epochs 3 \
 		--out .journals/smoke-epoch/bench.json \
 		--gate-floor $$(awk '$$1=="epoch-smoke"{print $$2}' BENCH_floor.txt)

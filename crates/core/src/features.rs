@@ -15,7 +15,7 @@
 use crimebb::{Corpus, ThreadId};
 use linsvm::SparseVec;
 use synthrand::Day;
-use textkit::dtm::{TfIdf, Vocabulary};
+use textkit::dtm::{DocTermMatrix, TfIdf, Vocabulary};
 use textkit::lexicon::Lexicon;
 use textkit::tokenize::{count_char, tokenize_with_stopwords};
 use textkit::url::extract_urls;
@@ -114,10 +114,6 @@ pub fn thread_stats_at(
         }
     }
 
-    let request = Lexicon::request();
-    let tutorial = Lexicon::tutorial();
-    let top = Lexicon::top();
-
     ThreadStats {
         replies: visible.saturating_sub(1) as f64,
         cloud_links: cloud,
@@ -125,9 +121,9 @@ pub fn thread_stats_at(
         thread_links: other,
         first_post_len: body.len() as f64,
         question_marks: count_char(&t.heading, '?') as f64,
-        request_kw: request.count_matches(&t.heading) as f64,
-        tutorial_kw: tutorial.count_matches(&t.heading) as f64,
-        top_kw: top.count_matches(&t.heading) as f64,
+        request_kw: Lexicon::request().count_matches(&t.heading) as f64,
+        tutorial_kw: Lexicon::tutorial().count_matches(&t.heading) as f64,
+        top_kw: Lexicon::top().count_matches(&t.heading) as f64,
     }
 }
 
@@ -150,6 +146,52 @@ pub fn thread_tokens_at(corpus: &Corpus, thread: ThreadId, cutoff: Day) -> Vec<S
     tokens
 }
 
+/// The classifier inputs of a list of threads as of one cutoff: each
+/// thread's statistical block and its tokens, in list order. A
+/// classification round derives them once and every consumer — the
+/// annotation draw, the bootstrap's train/test rows, the held-out
+/// heuristic, the decisions and the text index — reads them from here.
+#[derive(Debug)]
+pub struct ThreadInputs {
+    /// [`thread_stats_at`] per thread.
+    pub stats: Vec<ThreadStats>,
+    /// [`thread_tokens_at`] per thread.
+    pub tokens: Vec<Vec<String>>,
+}
+
+impl ThreadInputs {
+    /// Derives the inputs of `threads` as of the end of day `cutoff`
+    /// across `workers` threads (0 = all cores). Both halves are pure in
+    /// `(thread, cutoff)`, so the result is worker-independent.
+    pub fn at(
+        corpus: &Corpus,
+        catalog: &SiteCatalog,
+        threads: &[ThreadId],
+        cutoff: Day,
+        workers: usize,
+    ) -> ThreadInputs {
+        let (stats, tokens) = crate::par::par_map(threads, workers, |&t| {
+            (
+                thread_stats_at(corpus, catalog, t, cutoff),
+                thread_tokens_at(corpus, t, cutoff),
+            )
+        })
+        .into_iter()
+        .unzip();
+        ThreadInputs { stats, tokens }
+    }
+
+    /// Number of threads.
+    pub fn len(&self) -> usize {
+        self.stats.len()
+    }
+
+    /// True when there are no threads.
+    pub fn is_empty(&self) -> bool {
+        self.stats.is_empty()
+    }
+}
+
 /// A fitted feature extractor: vocabulary + IDF weights over the training
 /// threads, reused unchanged at inference time. Serialisable so the epoch
 /// pipeline can freeze the bootstrap-trained extractor in its carry.
@@ -169,10 +211,12 @@ impl FeatureExtractor {
 
     /// [`FeatureExtractor::fit`] as of the end of day `cutoff`: the
     /// vocabulary and IDF only see post text dated on or before the
-    /// cutoff. The epoch pipeline bootstraps its frozen extractor with
-    /// this — on the epoch-1 corpus it equals a plain [`fit`], and on
-    /// any later corpus it replays the epoch-1 fit bit-exactly (the
-    /// `_at` inputs are prefix-stable).
+    /// cutoff. It tokenises the training threads and fits what
+    /// [`FeatureExtractor::fit_tokens`] fits, which is how the epoch
+    /// pipeline's bootstrap fits from tokens it already holds. Past the
+    /// last post it equals a plain [`fit`], and on any later corpus it
+    /// replays an earlier fit bit-exactly (the `_at` inputs are
+    /// prefix-stable).
     ///
     /// [`fit`]: FeatureExtractor::fit
     pub fn fit_at(
@@ -183,8 +227,19 @@ impl FeatureExtractor {
     ) -> FeatureExtractor {
         let docs: Vec<Vec<String>> =
             crate::par::par_map(train, workers, |&t| thread_tokens_at(corpus, t, cutoff));
+        let docs: Vec<&[String]> = docs.iter().map(Vec::as_slice).collect();
+        Self::fit_tokens(&docs, workers)
+    }
+
+    /// Fits vocabulary and IDF on already tokenised training documents:
+    /// the body of [`FeatureExtractor::fit_at`] for callers that hold
+    /// the tokens.
+    pub(crate) fn fit_tokens(docs: &[&[String]], workers: usize) -> FeatureExtractor {
         let vocab = Vocabulary::build(docs.iter().map(|d| d.iter()), 2);
-        let dtm = textkit::dtm::DocTermMatrix::from_docs_par(&vocab, &docs, workers);
+        let dtm = DocTermMatrix {
+            rows: crate::par::par_map(docs, workers, |d| vocab.count(d)),
+            n_terms: vocab.len(),
+        };
         let tfidf = TfIdf::fit_par(&dtm, workers);
         FeatureExtractor { vocab, tfidf }
     }

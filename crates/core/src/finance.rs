@@ -115,14 +115,23 @@ pub fn harvest_earnings_stream(
     for d in world.catalog.seed_whitelist() {
         carry.whiteset.insert(d.to_string());
     }
-    let ewset: HashSet<ThreadId> = ewhoring_threads.iter().copied().collect();
+    let n_threads = corpus.threads().len();
+    let mut is_ewhoring = vec![false; n_threads];
+    for &t in ewhoring_threads {
+        is_ewhoring[t.index()] = true;
+    }
     // Heading, board, and forum are fixed at thread creation, so this
-    // predicate answers the same at every epoch.
-    let is_earnings_thread = |t: ThreadId| -> bool {
-        let th = corpus.thread(t);
-        (ewset.contains(&t) && heading_is_earnings(&th.heading))
-            || (corpus.board(th.board).category == BoardCategory::BraggingRights
-                && corpus.forum_of_thread(t) == world.hackforums)
+    // predicate answers the same at every epoch. It is memoized per
+    // thread on first touch: an advance only pays for the threads its
+    // slice reaches, and a thread's many posts share one evaluation.
+    let mut earnings_memo: Vec<Option<bool>> = vec![None; n_threads];
+    let mut is_earnings_thread = |t: ThreadId| -> bool {
+        *earnings_memo[t.index()].get_or_insert_with(|| {
+            let th = corpus.thread(t);
+            (is_ewhoring[t.index()] && heading_is_earnings(&th.heading))
+                || (corpus.board(th.board).category == BoardCategory::BraggingRights
+                    && corpus.forum_of_thread(t) == world.hackforums)
+        })
     };
 
     let n_actors = corpus.actors().len();
@@ -133,7 +142,8 @@ pub fn harvest_earnings_stream(
     for idx in carry.cursor..n {
         let post = corpus.post(PostId(idx as u32));
         let t = post.thread;
-        if ewset.contains(&t) {
+        let ewhoring = is_ewhoring[t.index()];
+        if ewhoring {
             // Table 7 fold: tally the post toward its author's eWhoring
             // count (and first-sight day) before the earnings/proof
             // filter below drops it. Counts and `min` are
@@ -143,7 +153,7 @@ pub fn harvest_earnings_stream(
             carry.first_ew_by_actor[i] = carry.first_ew_by_actor[i].min(post.date);
         }
         let earnings = is_earnings_thread(t);
-        let proof_offer = ewset.contains(&t) && post_is_proof_offer(&post.body);
+        let proof_offer = ewhoring && post_is_proof_offer(&post.body);
         if !(earnings || proof_offer) {
             continue;
         }

@@ -9,7 +9,8 @@
 //! warm carry over its delta —
 //!
 //! * `top_classifier`: the bootstrap-frozen model (trained once at the
-//!   first boundary), first-sight decisions per thread, and an
+//!   first boundary with an annotation sample), first-sight decisions
+//!   per thread, and an
 //!   incrementally grown vocabulary / document-frequency index
 //!   ([`StreamTextIndex`] — vocab union + new-doc rows, never a rebuild);
 //! * `measure_images`: a memo of every `(spec, transform)` pair already
@@ -87,8 +88,9 @@ pub struct EpochCarry {
 pub struct TopclsCarry {
     /// Last epoch whose first-sight decisions are folded in.
     pub epoch: u32,
-    /// The classifier bootstrapped at the first epoch boundary; `None`
-    /// until epoch 1 has run.
+    /// The classifier bootstrapped at the first epoch boundary with an
+    /// annotation sample; `None` until then (threads decided before it
+    /// exists are decided by the heuristic alone).
     pub model: Option<BootstrapModel>,
     /// First-sight decisions `(thread, ml, heuristic)` in decision
     /// order: threads grouped by the epoch they appeared in, each

@@ -241,7 +241,9 @@ pub enum StageStatus {
     /// The stage failed once and succeeded on the driver's retry.
     Recovered,
     /// The stage failed twice and wrote degraded (partial or default)
-    /// artifacts via [`Stage::degrade`] so downstream stages could run.
+    /// artifacts via [`Stage::degrade`] so downstream stages could run —
+    /// or, for `top_classifier`, had no thread to train on yet and
+    /// decided by the heuristic alone.
     Degraded,
 }
 

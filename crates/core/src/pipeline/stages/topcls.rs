@@ -7,10 +7,11 @@
 //! this serial section, so the outcome is worker-independent.
 
 use crate::extract::EwhoringSet;
+use crate::features::ThreadInputs;
 use crate::pipeline::corruption::RecordErrorKind;
 use crate::pipeline::ctx::{carry_mut, require};
-use crate::pipeline::{ForumRow, Stage, StageCtx, StageError};
-use crate::topcls::bootstrap_at;
+use crate::pipeline::{ForumRow, Stage, StageCtx, StageError, StageHealth, StageStatus};
+use crate::topcls::{bootstrap_at, decide, tally};
 use crimebb::{Corpus, ThreadId};
 use std::collections::{HashMap, HashSet};
 
@@ -84,31 +85,41 @@ impl Stage for TopClassifierStage {
             }
         }
         for (fresh, &cutoff) in buckets.iter().zip(&bounds) {
-            if carry.model.is_none() {
-                carry.model = Some(bootstrap_at(
-                    &mut ctx.rng,
-                    &world.corpus,
-                    &world.catalog,
-                    &world.truth,
-                    fresh,
-                    cutoff,
-                    workers,
-                ));
+            if fresh.is_empty() {
+                continue;
             }
-            let model = carry.model.as_ref().expect("bootstrapped above");
-            let decided = model.decide_at(&world.corpus, &world.catalog, fresh, cutoff, workers);
-            carry.decisions.extend(
-                fresh
-                    .iter()
-                    .zip(&decided)
-                    .map(|(&t, &(ml, h, _))| (t, ml, h)),
-            );
+            // Each thread's stats and tokens, derived once for the
+            // bootstrap, the decisions and the text index alike.
+            let inputs = ThreadInputs::at(&world.corpus, &world.catalog, fresh, cutoff, workers);
+            // The model trains at the first bucket with an annotation
+            // sample; a failed attempt draws nothing from the rng, so
+            // warm and fresh carries train at the same boundary on the
+            // same rng state.
+            if carry.model.is_none() {
+                carry.model = bootstrap_at(&mut ctx.rng, &world.truth, fresh, &inputs, workers);
+            }
+            let decided = decide(carry.model.as_ref(), &inputs, workers);
+            carry
+                .decisions
+                .extend(fresh.iter().zip(decided).map(|(&t, (ml, h))| (t, ml, h)));
             // Delta text-index update: only the new threads' tokens are
             // counted; vocabulary ids are append-stable.
-            let docs: Vec<Vec<String>> = decided.into_iter().map(|(_, _, tokens)| tokens).collect();
-            carry.index.fold(&docs, workers);
+            carry.index.fold(&inputs.tokens, workers);
         }
         carry.epoch = spec.upto;
+        if carry.model.is_none() {
+            ctx.health.push(StageHealth {
+                stage: self.name().to_string(),
+                status: StageStatus::Degraded,
+                detail: format!(
+                    "classifier not trained by epoch {} of {}: no thread to annotate; \
+                     {} thread(s) decided by the heuristic alone",
+                    spec.upto,
+                    spec.epochs,
+                    carry.decisions.len()
+                ),
+            });
+        }
 
         // Assemble the artifact from the carried first-sight decisions,
         // tallied in current extraction order.
@@ -121,8 +132,8 @@ impl Stage for TopClassifierStage {
             classify_input.iter().all(|t| by_thread.contains_key(t)),
             "every thread is decided"
         );
-        let model = carry.model.as_ref().expect("at least one slice ran");
-        let mut topcls = model.tally(
+        let mut topcls = tally(
+            carry.model.as_ref(),
             classify_input,
             classify_input
                 .iter()

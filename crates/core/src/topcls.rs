@@ -10,9 +10,7 @@
 //! skimmed promising threads), while *labels* come from ground truth (the
 //! annotator reads the thread and is assumed accurate).
 
-use crate::features::{
-    thread_stats_at, thread_tokens_at, FeatureExtractor, ThreadStats, OPEN_CUTOFF,
-};
+use crate::features::{thread_stats_at, FeatureExtractor, ThreadInputs, ThreadStats, OPEN_CUTOFF};
 use crimebb::{Corpus, ThreadId};
 use linsvm::{confusion, BinaryMetrics, LinearSvm, SparseVec, SvmConfig};
 use rand::rngs::StdRng;
@@ -68,8 +66,10 @@ pub struct StreamIndexStats {
     pub idf_checksum: f64,
 }
 
-/// Evaluation and application results of the hybrid classifier.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Evaluation and application results of the hybrid classifier. The
+/// default is the artifact of a run with nothing to classify yet: no
+/// detections, zero counts and default metrics.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TopClassification {
     /// Held-out metrics of the hybrid classifier (paper: P 92 / R 93 / F1 92).
     pub hybrid_metrics: BinaryMetrics,
@@ -118,30 +118,42 @@ pub fn annotation_sample_at(
     size: usize,
     cutoff: Day,
 ) -> Vec<ThreadId> {
-    let size = size.min(threads.len());
-    let mut promising: Vec<ThreadId> = Vec::new();
-    let mut rest: Vec<ThreadId> = Vec::new();
-    for &t in threads {
-        let s = thread_stats_at(corpus, catalog, t, cutoff);
-        if s.top_kw >= 1.0 && s.question_marks == 0.0 {
-            promising.push(t);
-        } else {
-            rest.push(t);
-        }
+    let stats: Vec<ThreadStats> = threads
+        .iter()
+        .map(|&t| thread_stats_at(corpus, catalog, t, cutoff))
+        .collect();
+    annotation_draw(rng, &stats, size)
+        .into_iter()
+        .map(|i| threads[i])
+        .collect()
+}
+
+/// The annotation draw over a list's statistical blocks, as indices into
+/// the list: shuffle the lexicon-promising threads and the rest, then
+/// take up to two fifths of `size` from the former and fill from the
+/// latter. A draw that would come back empty — no threads, or one or
+/// two threads that are all promising — returns before shuffling and
+/// leaves `rng` untouched.
+fn annotation_draw(rng: &mut StdRng, stats: &[ThreadStats], size: usize) -> Vec<usize> {
+    let size = size.min(stats.len());
+    let (mut promising, mut rest): (Vec<usize>, Vec<usize>) =
+        (0..stats.len()).partition(|&i| stats[i].top_kw >= 1.0 && stats[i].question_marks == 0.0);
+    let n_promising = (size * 2 / 5).min(promising.len());
+    let n_rest = rest.len().min(size - n_promising);
+    if n_promising + n_rest == 0 {
+        return Vec::new();
     }
     promising.shuffle(rng);
     rest.shuffle(rng);
-    let n_promising = (size * 2 / 5).min(promising.len());
-    let mut sample: Vec<ThreadId> = promising.into_iter().take(n_promising).collect();
-    sample.extend(rest.into_iter().take(size - sample.len()));
-    sample.truncate(size);
+    let mut sample: Vec<usize> = promising.into_iter().take(n_promising).collect();
+    sample.extend(rest.into_iter().take(n_rest));
     sample
 }
 
 /// The bootstrap-frozen hybrid classifier: model and held-out metrics
-/// trained once at the first slice boundary, then applied unchanged to
-/// every later slice's new threads. Serialisable so the epoch carry can
-/// freeze it across advances.
+/// trained once at the first slice boundary with an annotation sample,
+/// then applied unchanged to every later slice's new threads.
+/// Serialisable so the epoch carry can freeze it across advances.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BootstrapModel {
     /// The frozen feature extractor (vocabulary + IDF at the boundary).
@@ -158,36 +170,44 @@ pub struct BootstrapModel {
     pub sample_positives: usize,
 }
 
-/// Trains the bootstrap model on the annotated sample, with every input
-/// windowed to `cutoff` (the first slice's boundary): annotate, split
+/// Trains the bootstrap model on the annotated sample: annotate, split
 /// 800/200, fit features on the training side, train the SVM, and
-/// evaluate ML, heuristic, and hybrid on the held-out side. Only the
-/// annotation sampling draws from `rng`. `threads` must be the threads
-/// existing by the cutoff, in extraction order. Pure in `(visible
-/// prefix, rng state)`, so a later corpus replays the training
-/// bit-exactly.
+/// evaluate ML, heuristic, and hybrid on the held-out side. `threads`
+/// are the threads existing by the first slice's boundary, in
+/// extraction order, and `inputs` their [`ThreadInputs`] as of that
+/// boundary; every signal is read from there. Only the annotation
+/// sampling draws from `rng`. Pure in `(inputs, rng state)`, so a later
+/// corpus replays the training bit-exactly.
+///
+/// Returns `None`, without drawing from `rng`, when the annotation
+/// sample is empty: there is nothing to train on yet.
 pub fn bootstrap_at(
     rng: &mut StdRng,
-    corpus: &Corpus,
-    catalog: &SiteCatalog,
     truth: &GroundTruth,
     threads: &[ThreadId],
-    cutoff: Day,
+    inputs: &ThreadInputs,
     workers: usize,
-) -> BootstrapModel {
-    let sample = annotation_sample_at(rng, corpus, catalog, threads, ANNOTATION_SAMPLE, cutoff);
-    let labels: Vec<bool> = sample.iter().map(|&t| truth.is_top(t)).collect();
+) -> Option<BootstrapModel> {
+    debug_assert_eq!(threads.len(), inputs.len(), "one input per thread");
+    let sample = annotation_draw(rng, &inputs.stats, ANNOTATION_SAMPLE);
+    if sample.is_empty() {
+        return None;
+    }
+    let labels: Vec<bool> = sample.iter().map(|&i| truth.is_top(threads[i])).collect();
     let sample_positives = labels.iter().filter(|&&l| l).count();
 
     let n_train = (sample.len() * TRAIN_SIZE / ANNOTATION_SAMPLE).max(1);
     let (train_idx, test_idx) = linsvm::train_test_split(sample.len(), n_train, 0x5711);
-    let train_threads: Vec<ThreadId> = train_idx.iter().map(|&i| sample[i]).collect();
-    let extractor = FeatureExtractor::fit_at(corpus, &train_threads, cutoff, workers);
+    let train_docs: Vec<&[String]> = train_idx
+        .iter()
+        .map(|&i| inputs.tokens[sample[i]].as_slice())
+        .collect();
+    let extractor = FeatureExtractor::fit_tokens(&train_docs, workers);
 
     let rows = |idx: &[usize]| -> Vec<SparseVec> {
-        let picked: Vec<ThreadId> = idx.iter().map(|&i| sample[i]).collect();
-        crate::par::par_map(&picked, workers, |&t| {
-            extractor.features_at(corpus, catalog, t, cutoff)
+        crate::par::par_map(idx, workers, |&i| {
+            let t = sample[i];
+            extractor.row(&inputs.stats[t], &inputs.tokens[t])
         })
     };
     let mut train_x = rows(&train_idx);
@@ -210,7 +230,7 @@ pub fn bootstrap_at(
     let ml_pred: Vec<bool> = test_x.iter().map(|x| svm.predict(x)).collect();
     let heur_pred: Vec<bool> = test_idx
         .iter()
-        .map(|&i| heuristic_is_top_at(corpus, catalog, sample[i], cutoff))
+        .map(|&i| heuristic_says_top(&inputs.stats[sample[i]]))
         .collect();
     let hybrid_pred: Vec<bool> = ml_pred
         .iter()
@@ -218,68 +238,57 @@ pub fn bootstrap_at(
         .map(|(&m, &h)| m || h)
         .collect();
 
-    BootstrapModel {
+    Some(BootstrapModel {
         hybrid_metrics: confusion(&hybrid_pred, &test_y).metrics(),
         ml_metrics: confusion(&ml_pred, &test_y).metrics(),
         heuristic_metrics: confusion(&heur_pred, &test_y).metrics(),
         sample_positives,
         extractor,
         svm,
-    }
+    })
 }
 
-impl BootstrapModel {
-    /// First-sight decisions `(ml, heuristic, tokens)` for `threads`,
-    /// each evaluated on the thread state as of `cutoff`, across
-    /// `workers` threads in input order. The thread's tokens as of the
-    /// cutoff come back with its decision, so a caller indexing the text
-    /// does not tokenise it again.
-    pub fn decide_at(
-        &self,
-        corpus: &Corpus,
-        catalog: &SiteCatalog,
-        threads: &[ThreadId],
-        cutoff: Day,
-        workers: usize,
-    ) -> Vec<(bool, bool, Vec<String>)> {
-        crate::par::par_map(threads, workers, |&t| {
-            let stats = thread_stats_at(corpus, catalog, t, cutoff);
-            let tokens = thread_tokens_at(corpus, t, cutoff);
-            let ml = self.svm.predict(&self.extractor.row(&stats, &tokens));
-            (ml, heuristic_says_top(&stats), tokens)
-        })
-    }
+/// First-sight decisions `(ml, heuristic)`, one per thread of `inputs`
+/// in order, across `workers` threads. Without a model — no thread could
+/// be annotated yet — the ML side says no and the heuristic decides
+/// alone.
+pub fn decide(
+    model: Option<&BootstrapModel>,
+    inputs: &ThreadInputs,
+    workers: usize,
+) -> Vec<(bool, bool)> {
+    crate::par::par_map_range(inputs.len(), workers, |i| {
+        let stats = &inputs.stats[i];
+        let ml = model.is_some_and(|m| m.svm.predict(&m.extractor.row(stats, &inputs.tokens[i])));
+        (ml, heuristic_says_top(stats))
+    })
+}
 
-    /// Tallies `(ml, heuristic)` decisions, one per thread of `threads`
-    /// in order, into the §4.1 artifact: a thread is a detected TOP when
-    /// either side flags it. `stream_index` is left for the caller.
-    pub fn tally(
-        &self,
-        threads: &[ThreadId],
-        decisions: impl IntoIterator<Item = (bool, bool)>,
-    ) -> TopClassification {
-        let mut detected = Vec::new();
-        let (mut ml_count, mut heuristic_count, mut both_count) = (0, 0, 0);
-        for (&t, (ml, heur)) in threads.iter().zip(decisions) {
-            ml_count += usize::from(ml);
-            heuristic_count += usize::from(heur);
-            both_count += usize::from(ml && heur);
-            if ml || heur {
-                detected.push(t);
-            }
-        }
-        TopClassification {
-            hybrid_metrics: self.hybrid_metrics,
-            ml_metrics: self.ml_metrics,
-            heuristic_metrics: self.heuristic_metrics,
-            sample_positives: self.sample_positives,
-            detected,
-            ml_count,
-            heuristic_count,
-            both_count,
-            stream_index: None,
+/// Tallies `(ml, heuristic)` decisions, one per thread of `threads` in
+/// order, into the §4.1 artifact: a thread is a detected TOP when either
+/// side flags it. The held-out metrics come from `model`, and stay
+/// default without one. `stream_index` is left for the caller.
+pub fn tally(
+    model: Option<&BootstrapModel>,
+    threads: &[ThreadId],
+    decisions: impl IntoIterator<Item = (bool, bool)>,
+) -> TopClassification {
+    let mut out = TopClassification::default();
+    if let Some(m) = model {
+        out.hybrid_metrics = m.hybrid_metrics;
+        out.ml_metrics = m.ml_metrics;
+        out.heuristic_metrics = m.heuristic_metrics;
+        out.sample_positives = m.sample_positives;
+    }
+    for (&t, (ml, heur)) in threads.iter().zip(decisions) {
+        out.ml_count += usize::from(ml);
+        out.heuristic_count += usize::from(heur);
+        out.both_count += usize::from(ml && heur);
+        if ml || heur {
+            out.detected.push(t);
         }
     }
+    out
 }
 
 #[cfg(test)]
@@ -296,17 +305,9 @@ mod tests {
     /// Trains on the whole corpus as one slice and classifies every
     /// thread, the way the stage does on a generated world.
     fn classify(rng: &mut StdRng, w: &World, threads: &[ThreadId]) -> TopClassification {
-        let model = bootstrap_at(
-            rng,
-            &w.corpus,
-            &w.catalog,
-            &w.truth,
-            threads,
-            OPEN_CUTOFF,
-            2,
-        );
-        let decisions = model.decide_at(&w.corpus, &w.catalog, threads, OPEN_CUTOFF, 2);
-        model.tally(threads, decisions.into_iter().map(|(ml, h, _)| (ml, h)))
+        let inputs = ThreadInputs::at(&w.corpus, &w.catalog, threads, OPEN_CUTOFF, 2);
+        let model = bootstrap_at(rng, &w.truth, threads, &inputs, 2);
+        tally(model.as_ref(), threads, decide(model.as_ref(), &inputs, 2))
     }
 
     #[test]
@@ -366,6 +367,37 @@ mod tests {
             (detected / planted) > 0.75 && (detected / planted) < 1.45,
             "detected {detected} vs planted {planted}"
         );
+    }
+
+    /// One or two threads that are all lexicon-promising leave the
+    /// annotation draw empty: no model, and no rng draw either, so a
+    /// later bucket trains on the same rng state in warm and fresh runs.
+    #[test]
+    fn unannotatable_bucket_trains_nothing_and_draws_nothing() {
+        let w = world();
+        let promising = ThreadStats {
+            top_kw: 2.0,
+            ..ThreadStats::default()
+        };
+        for n in [0, 1, 2] {
+            let threads: Vec<ThreadId> = (0..n).map(ThreadId).collect();
+            let inputs = ThreadInputs {
+                stats: vec![promising; n as usize],
+                tokens: vec![Vec::new(); n as usize],
+            };
+            let mut rng = rng_from_seed(5);
+            assert!(bootstrap_at(&mut rng, &w.truth, &threads, &inputs, 1).is_none());
+            assert_eq!(
+                rand::Rng::gen::<u64>(&mut rng),
+                rand::Rng::gen::<u64>(&mut rng_from_seed(5)),
+                "{n} thread(s): the rng was drawn from"
+            );
+            let decisions = decide(None, &inputs, 1);
+            assert_eq!(decisions, vec![(false, true); n as usize]);
+            let t = tally(None, &threads, decisions);
+            assert_eq!(t.detected, threads);
+            assert_eq!(t.hybrid_metrics, BinaryMetrics::default());
+        }
     }
 
     #[test]

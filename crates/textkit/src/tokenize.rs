@@ -171,20 +171,32 @@ pub fn tokenize_with_stopwords(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Counts occurrences of `needle` as a case-insensitive substring of
-/// `haystack`. Used for keyword heuristics that must match inside
-/// bracket tags like `[TUT]` where tokenisation would lose context.
+/// Counts occurrences of `needle` as an ASCII-case-insensitive substring
+/// of `haystack`: ASCII letters match either case, every other byte
+/// (including all of a non-ASCII character's bytes) must match exactly.
+/// Matches are counted left to right without overlap. Used for keyword
+/// heuristics that must match inside bracket tags like `[TUT]` where
+/// tokenisation would lose context.
+///
+/// Compares bytes in place and allocates nothing. A byte-level match of
+/// a UTF-8 needle always starts on a character boundary, so the count
+/// equals a search over the ASCII-lower-cased strings.
 pub fn count_substring_ci(haystack: &str, needle: &str) -> usize {
-    if needle.is_empty() {
+    let (h, n) = (haystack.as_bytes(), needle.as_bytes());
+    if n.is_empty() || n.len() > h.len() {
         return 0;
     }
-    let h = haystack.to_ascii_lowercase();
-    let n = needle.to_ascii_lowercase();
+    let first = n[0];
+    let last_start = h.len() - n.len();
     let mut count = 0;
-    let mut start = 0;
-    while let Some(pos) = h[start..].find(&n) {
-        count += 1;
-        start += pos + n.len();
+    let mut i = 0;
+    while i <= last_start {
+        if h[i].eq_ignore_ascii_case(&first) && h[i..i + n.len()].eq_ignore_ascii_case(n) {
+            count += 1;
+            i += n.len();
+        } else {
+            i += 1;
+        }
     }
     count
 }

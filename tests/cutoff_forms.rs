@@ -5,11 +5,11 @@
 
 use ewhoring_core::extract::extract_ewhoring_threads;
 use ewhoring_core::features::{
-    thread_stats, thread_stats_at, thread_tokens, thread_tokens_at, FeatureExtractor,
+    thread_stats, thread_stats_at, thread_tokens, thread_tokens_at, FeatureExtractor, ThreadInputs,
 };
 use ewhoring_core::topcls::{
-    annotation_sample, annotation_sample_at, heuristic_is_top, heuristic_is_top_at,
-    ANNOTATION_SAMPLE,
+    annotation_sample, annotation_sample_at, bootstrap_at, decide, heuristic_is_top,
+    heuristic_is_top_at, ANNOTATION_SAMPLE,
 };
 use worldgen::{World, WorldConfig};
 
@@ -74,6 +74,54 @@ fn plain_forms_match_their_cutoff_forms_past_the_last_post() {
                 .features_at(&w.corpus, &w.catalog, t, cutoff)
                 .entries(),
             "features {t}"
+        );
+    }
+}
+
+/// A classification round derives each thread's stats and tokens once
+/// and reads every decision from them. At a mid-window cutoff and at the
+/// last one, those decisions must equal the per-thread forms: the frozen
+/// extractor's `features_at` row through the SVM, and
+/// `heuristic_is_top_at`.
+#[test]
+fn round_inputs_decide_like_the_per_thread_forms() {
+    let w = World::generate(WorldConfig::test_scale(0xC07));
+    let all = extract_ewhoring_threads(&w.corpus).all_threads();
+    let (first, last) = w.corpus.date_span().expect("the world has posts");
+    let mid = first.plus_days(last.days_since(first) / 2);
+    for cutoff in [mid, w.config.dataset_end()] {
+        let threads: Vec<_> = all
+            .iter()
+            .copied()
+            .filter(|&t| w.corpus.thread(t).created <= cutoff)
+            .collect();
+        assert!(threads.len() > 10, "{cutoff:?}: too few threads");
+        let inputs = ThreadInputs::at(&w.corpus, &w.catalog, &threads, cutoff, 2);
+        let model = bootstrap_at(
+            &mut synthrand::rng_from_seed(9),
+            &w.truth,
+            &threads,
+            &inputs,
+            2,
+        )
+        .expect("threads to annotate");
+        let decisions = decide(Some(&model), &inputs, 2);
+        assert_eq!(decisions.len(), threads.len());
+        for (&t, &(ml, heuristic)) in threads.iter().zip(&decisions) {
+            let row = model
+                .extractor
+                .features_at(&w.corpus, &w.catalog, t, cutoff);
+            assert_eq!(ml, model.svm.predict(&row), "ml {t} at {cutoff:?}");
+            assert_eq!(
+                heuristic,
+                heuristic_is_top_at(&w.corpus, &w.catalog, t, cutoff),
+                "heuristic {t} at {cutoff:?}"
+            );
+        }
+        assert!(decisions.iter().any(|&(ml, _)| ml), "the SVM flags some");
+        assert!(
+            decisions.iter().any(|&(_, h)| h),
+            "the heuristic flags some"
         );
     }
 }

@@ -12,7 +12,9 @@
 use ewhoring_core::actors::{actor_metrics, cohort_table};
 use ewhoring_core::extract::extract_ewhoring_threads;
 use ewhoring_core::finance::{analyse_currency_exchange, analyse_earnings};
-use ewhoring_core::pipeline::{stream_world, EpochEngine, PipelineOptions, StreamSpec};
+use ewhoring_core::pipeline::{
+    snapshot_json, stream_world, EpochEngine, PipelineOptions, RunSpec, StageStatus, StreamSpec,
+};
 use worldgen::{World, WorldConfig};
 
 const SEED: u64 = 0xF01D;
@@ -88,6 +90,51 @@ fn folded_artifacts_match_batch_recomputation_across_matrix() {
                 batch_currency,
                 "{ctx}: folded CE marginals diverged from batch scan"
             );
+        }
+    }
+}
+
+/// A world whose first epoch holds a single, lexicon-promising eWhoring
+/// thread: the annotation draw over it is empty, so the classifier
+/// cannot be trained at the first boundary. The stream must not panic:
+/// the model trains at the first epoch with an annotation sample, the
+/// threads before it are decided by the heuristic alone, and every warm
+/// advance still equals the fresh recompute byte for byte.
+#[test]
+fn stream_without_an_annotatable_first_epoch_trains_later() {
+    let spec = RunSpec {
+        scale: 0.05,
+        seed: 1446698121926109755,
+        workers: 2,
+        epochs: 20,
+        ..RunSpec::default()
+    };
+    let world = World::generate(spec.world_config());
+    let mut engine = EpochEngine::new(world, spec.epochs, spec.options());
+    for upto in [1u32, 2, 20] {
+        let warm = engine
+            .advance_to(upto)
+            .expect("advance")
+            .expect("advances to a later epoch");
+        let fresh = engine.fresh_report().expect("fresh recompute");
+        assert_eq!(
+            snapshot_json(&warm).unwrap(),
+            snapshot_json(&fresh).unwrap(),
+            "upto {upto}: warm advance diverged from the fresh recompute"
+        );
+        let untrained = warm
+            .health
+            .iter()
+            .filter(|h| h.stage == "top_classifier" && h.status == StageStatus::Degraded)
+            .count();
+        let trained = engine.carry().topcls.model.is_some();
+        if upto == 1 {
+            assert!(!trained, "nothing to annotate at epoch 1");
+            assert_eq!(untrained, 1, "epoch 1 reports the untrained classifier");
+            assert_eq!(warm.topcls.hybrid_metrics, Default::default());
+        } else {
+            assert!(trained, "upto {upto}: the classifier is trained");
+            assert_eq!(untrained, 0, "upto {upto}: a trained run is clean");
         }
     }
 }
