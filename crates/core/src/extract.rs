@@ -45,6 +45,15 @@ impl EwhoringSet {
     }
 }
 
+/// `threads` as a dense membership mask indexed by [`ThreadId::index`].
+pub fn thread_mask(corpus: &Corpus, threads: &[ThreadId]) -> Vec<bool> {
+    let mut mask = vec![false; corpus.threads().len()];
+    for &t in threads {
+        mask[t.index()] = true;
+    }
+    mask
+}
+
 /// Runs the §3 extraction over the corpus.
 pub fn extract_ewhoring_threads(corpus: &Corpus) -> EwhoringSet {
     extract_ewhoring_threads_in(corpus, 0..corpus.forums().len())

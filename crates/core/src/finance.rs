@@ -12,12 +12,14 @@
 //! * **Currency Exchange.** `[H]/[W]` headings of CE threads opened by
 //!   ≥50-post eWhoring actors after they started eWhoring → Table 7.
 
+use crate::extract::thread_mask;
 use crate::nsfv::ImageMeasures;
+use crate::pipeline::corruption::CorruptionPlan;
+use crate::pipeline::epoch::FinanceCarry;
 use crimebb::{ActorId, BoardCategory, Corpus, PostId, ThreadId};
 use safety::{HostingRegion, SafetyGate, ScreenOutcome, SiteType};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
-use synthrand::Day;
 use textkit::hw::{parse_hw_heading, Currency};
 use textkit::lexicon::{heading_is_earnings, post_is_proof_offer};
 use textkit::url::extract_urls;
@@ -104,11 +106,16 @@ pub struct EarningsAnalysis {
 /// the identical sequence — fold composition is what makes the warm
 /// advance byte-identical to the full recompute. On the world as
 /// generated ids run forum by forum, and one fresh fold covers them all.
+///
+/// `plan` quarantines proofs as they are verified; their indices stay
+/// in `carry.quarantined`, so a warm carry knows every quarantine a
+/// fresh fold would make.
 pub fn harvest_earnings_stream(
     world: &World,
     gate: &SafetyGate,
     ewhoring_threads: &[ThreadId],
-    carry: &mut crate::pipeline::epoch::FinanceCarry,
+    plan: &CorruptionPlan,
+    carry: &mut FinanceCarry,
 ) -> EarningsHarvest {
     let corpus = &world.corpus;
     // Idempotent on warm carries; seeds fresh ones.
@@ -116,10 +123,7 @@ pub fn harvest_earnings_stream(
         carry.whiteset.insert(d.to_string());
     }
     let n_threads = corpus.threads().len();
-    let mut is_ewhoring = vec![false; n_threads];
-    for &t in ewhoring_threads {
-        is_ewhoring[t.index()] = true;
-    }
+    let is_ewhoring = thread_mask(corpus, ewhoring_threads);
     // Heading, board, and forum are fixed at thread creation, so this
     // predicate answers the same at every epoch. It is memoized per
     // thread on first touch: an advance only pays for the threads its
@@ -134,24 +138,11 @@ pub fn harvest_earnings_stream(
         })
     };
 
-    let n_actors = corpus.actors().len();
-    carry.ew_posts_by_actor.resize(n_actors, 0);
-    carry.first_ew_by_actor.resize(n_actors, Day(u32::MAX));
-
     let n = corpus.posts().len();
     for idx in carry.cursor..n {
         let post = corpus.post(PostId(idx as u32));
         let t = post.thread;
         let ewhoring = is_ewhoring[t.index()];
-        if ewhoring {
-            // Table 7 fold: tally the post toward its author's eWhoring
-            // count (and first-sight day) before the earnings/proof
-            // filter below drops it. Counts and `min` are
-            // order-insensitive, so the fold is exact per epoch slice.
-            let i = post.author.0 as usize;
-            carry.ew_posts_by_actor[i] += 1;
-            carry.first_ew_by_actor[i] = carry.first_ew_by_actor[i].min(post.date);
-        }
         let earnings = is_earnings_thread(t);
         let proof_offer = ewhoring && post_is_proof_offer(&post.body);
         if !(earnings || proof_offer) {
@@ -202,19 +193,30 @@ pub fn harvest_earnings_stream(
                 continue;
             }
             carry.harvest.analysed += 1;
-            match world.annotate_proof(&image.spec) {
-                Some(info) => {
-                    let usd = world.fx.to_usd(info.amount, info.currency, info.taken);
-                    carry.harvest.proofs.push(ProofRecord {
-                        actor: info.actor,
-                        platform: info.platform,
-                        usd,
-                        transactions: info.transactions,
-                        month_index: info.taken.month_index(),
-                    });
-                }
-                None => carry.harvest.not_proof += 1,
+            let Some(info) = world.annotate_proof(&image.spec) else {
+                carry.harvest.not_proof += 1;
+                continue;
+            };
+            let usd = world.fx.to_usd(info.amount, info.currency, info.taken);
+            // Ingestion check: a corrupt currency cell yields a
+            // non-finite USD amount once the exchange multiplier is
+            // applied. Such a proof is quarantined and counted as
+            // `not_proof` (so `proofs + not_proof == analysed` holds and
+            // no NaN reaches Figure 7). The plan's index is the count of
+            // proofs verified so far, quarantined or not.
+            let verified = carry.harvest.proofs.len() + carry.quarantined.len();
+            if plan.is_enabled() && !(usd * plan.proof_multiplier(verified)).is_finite() {
+                carry.quarantined.push(verified);
+                carry.harvest.not_proof += 1;
+                continue;
             }
+            carry.harvest.proofs.push(ProofRecord {
+                actor: info.actor,
+                platform: info.platform,
+                usd,
+                transactions: info.transactions,
+                month_index: info.taken.month_index(),
+            });
         }
         if any {
             carry.harvest.posts_with_links += 1;
@@ -222,24 +224,19 @@ pub fn harvest_earnings_stream(
     }
     carry.cursor = n;
 
-    // Thread-cursor fold: the funnel's earnings-thread tally and the
-    // Table 7 Currency Exchange ledger, each thread visited exactly
-    // once at creation. Board, forum, and heading are fixed then, so
-    // both predicates answer the same at every later epoch — the folded
-    // tallies equal a full rescan of the current corpus.
+    // Thread-cursor fold: the funnel's earnings-thread tally, each
+    // thread visited exactly once at creation. Board, forum, and
+    // heading are fixed then, so the predicate answers the same at
+    // every later epoch — the folded tally equals a full rescan of the
+    // current corpus.
     let threads = corpus.threads();
     for th in &threads[carry.thread_cursor..] {
         if is_earnings_thread(th.id) {
             carry.harvest.earnings_threads += 1;
         }
-        if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
-            carry.ce_threads.push((th.author, th.id));
-        }
     }
     carry.thread_cursor = threads.len();
 
-    // Carried unfiltered: the per-run corruption plan is applied to
-    // this copy by the stage, never to the carry itself.
     carry.harvest.clone()
 }
 
@@ -377,7 +374,22 @@ pub struct CurrencyExchangeAnalysis {
     pub wanted: BTreeMap<String, usize>,
 }
 
-/// Runs the Table 7 analysis.
+impl CurrencyExchangeAnalysis {
+    /// Counts one qualifying thread and the currencies its `[H]/[W]`
+    /// heading offers and wants (`Unknown` when it does not parse).
+    pub(crate) fn tally(&mut self, heading: &str) {
+        self.threads += 1;
+        let (offered, wanted) = match parse_hw_heading(heading) {
+            Some(trade) => (trade.offered, trade.wanted),
+            None => (Currency::Unknown, Currency::Unknown),
+        };
+        *self.offered.entry(offered.label().to_string()).or_insert(0) += 1;
+        *self.wanted.entry(wanted.label().to_string()).or_insert(0) += 1;
+    }
+}
+
+/// Runs the Table 7 analysis as one rescan of the extraction set: the
+/// reference the `actors` stage's folded Table 7 is checked against.
 ///
 /// "We only include Currency Exchange threads from actors who have write
 /// more than 50 posts in eWhoring-threads … made after the actors started
@@ -409,85 +421,9 @@ pub fn analyse_currency_exchange(
         }
         analysis.actors += 1;
         for t in ce_threads {
-            analysis.threads += 1;
-            let (offered, wanted) = match parse_hw_heading(&corpus.thread(t).heading) {
-                Some(trade) => (trade.offered, trade.wanted),
-                None => (Currency::Unknown, Currency::Unknown),
-            };
-            *analysis
-                .offered
-                .entry(offered.label().to_string())
-                .or_insert(0) += 1;
-            *analysis
-                .wanted
-                .entry(wanted.label().to_string())
-                .or_insert(0) += 1;
+            analysis.tally(&corpus.thread(t).heading);
         }
     }
-    analysis
-}
-
-/// The Currency Exchange threads of a carried ledger that pass the
-/// Table 7 gates: the actor is a HackForums member with more than 50
-/// eWhoring posts, and the thread is on HackForums and started on or
-/// after the actor's first eWhoring post. `ew_posts` and `first_ew` are
-/// the carried per-actor tallies, indexed by actor id. The gates are
-/// re-checked at assembly because an actor can cross the post threshold
-/// slices after opening a thread.
-pub(crate) fn qualifying_ce_threads<'a>(
-    corpus: &'a Corpus,
-    hackforums: crimebb::ForumId,
-    ew_posts: &'a [u32],
-    first_ew: &'a [Day],
-    ledger: &'a [(ActorId, ThreadId)],
-) -> impl Iterator<Item = (ActorId, ThreadId)> + 'a {
-    ledger.iter().copied().filter(move |&(actor, t)| {
-        let i = actor.0 as usize;
-        ew_posts[i] > 50
-            && corpus.actor(actor).forum == hackforums
-            // `threads_started_by` only looks inside the actor's own forum.
-            && corpus.forum_of_thread(t) == hackforums
-            && corpus.thread(t).created >= first_ew[i]
-    })
-}
-
-/// Fold form of [`analyse_currency_exchange`]: reads the carried
-/// per-actor eWhoring tallies and the CE-thread ledger instead of
-/// rescanning every post in the extraction set. Every output is a count
-/// keyed by a `BTreeMap` label, so assembly order cannot leak into the
-/// artifact — the result equals the full rescan whenever the carried
-/// tallies match the corpus, which the fold in
-/// [`harvest_earnings_stream`] guarantees.
-pub fn analyse_currency_exchange_stream(
-    corpus: &Corpus,
-    hackforums: crimebb::ForumId,
-    carry: &crate::pipeline::epoch::FinanceCarry,
-) -> CurrencyExchangeAnalysis {
-    let mut analysis = CurrencyExchangeAnalysis::default();
-    let mut counted: HashSet<ActorId> = HashSet::new();
-    for (actor, t) in qualifying_ce_threads(
-        corpus,
-        hackforums,
-        &carry.ew_posts_by_actor,
-        &carry.first_ew_by_actor,
-        &carry.ce_threads,
-    ) {
-        counted.insert(actor);
-        analysis.threads += 1;
-        let (offered, wanted) = match parse_hw_heading(&corpus.thread(t).heading) {
-            Some(trade) => (trade.offered, trade.wanted),
-            None => (Currency::Unknown, Currency::Unknown),
-        };
-        *analysis
-            .offered
-            .entry(offered.label().to_string())
-            .or_insert(0) += 1;
-        *analysis
-            .wanted
-            .entry(wanted.label().to_string())
-            .or_insert(0) += 1;
-    }
-    analysis.actors = counted.len();
     analysis
 }
 
@@ -505,8 +441,9 @@ mod tests {
     fn harvest(w: &World) -> EarningsHarvest {
         let set = extract_ewhoring_threads(&w.corpus);
         let gate = SafetyGate::new(w.hashlist.clone());
-        let mut carry = crate::pipeline::epoch::FinanceCarry::default();
-        harvest_earnings_stream(w, &gate, &set.all_threads(), &mut carry)
+        let mut carry = FinanceCarry::default();
+        let plan = CorruptionPlan::disabled();
+        harvest_earnings_stream(w, &gate, &set.all_threads(), &plan, &mut carry)
     }
 
     #[test]

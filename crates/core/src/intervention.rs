@@ -349,12 +349,18 @@ mod tests {
         use crate::extract::extract_ewhoring_threads;
         use crate::finance::harvest_earnings_stream;
         use crate::pipeline::epoch::FinanceCarry;
+        use crate::pipeline::CorruptionPlan;
         use safety::SafetyGate;
         let world = World::generate(WorldConfig::test_scale(0x90A1));
         let threads = extract_ewhoring_threads(&world.corpus).all_threads();
         let gate = SafetyGate::new(world.hashlist.clone());
-        let harvest =
-            harvest_earnings_stream(&world, &gate, &threads, &mut FinanceCarry::default());
+        let harvest = harvest_earnings_stream(
+            &world,
+            &gate,
+            &threads,
+            &CorruptionPlan::disabled(),
+            &mut FinanceCarry::default(),
+        );
         if harvest.proofs.len() < 10 {
             return;
         }

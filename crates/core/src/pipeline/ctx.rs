@@ -398,7 +398,7 @@ pub struct StageCtx<'w> {
     pub harvest: Option<EarningsHarvest>,
     /// Stage `finance`: §5.2 earnings aggregates.
     pub earnings: Option<EarningsAnalysis>,
-    /// Stage `finance`: Table 7.
+    /// Stage `actors`: Table 7 (§5.1).
     pub currency: Option<CurrencyExchangeAnalysis>,
     /// Stage `actors`: Table 8.
     pub cohorts: Option<Vec<CohortRow>>,
@@ -460,7 +460,7 @@ artifact_accessors! {
     harvest: EarningsHarvest,
     /// Earnings aggregates, or an error if `finance` has not run.
     earnings: EarningsAnalysis,
-    /// Currency-exchange analysis, or an error if `finance` has not run.
+    /// Currency-exchange analysis, or an error if `actors` has not run.
     currency: CurrencyExchangeAnalysis,
     /// Cohort table, or an error if `actors` has not run.
     cohorts: Vec<CohortRow>,

@@ -17,15 +17,15 @@
 //!   measured (measures are pure, so memoised values are exact);
 //! * `nsfv`: the validation-set evaluation (pure in the seed);
 //! * `finance`: a fold cursor over the post list plus the funnel
-//!   counters, whitelist, URL dedup set, proof records, running §5.2
-//!   earnings aggregates, and the Table 7 per-actor tallies and
-//!   CE-thread ledger (folded via a thread cursor);
+//!   counters, whitelist, URL dedup set, proof records, the indices of
+//!   quarantined proofs, and running §5.2 earnings aggregates;
 //! * `provenance`: a memo of every reverse-search outcome keyed
 //!   `(robust hash, post day)` — the reverse index and the Wayback
 //!   archive are static services, so outcomes are pure in the key;
 //! * `actors`: the reply/quote graph grown edge-by-edge, the
-//!   warm-started eigenvector-centrality vector, and the per-actor
-//!   metric counters behind Table 8 / Figure 4.
+//!   warm-started eigenvector-centrality vector, the per-actor metric
+//!   counters behind Table 8 / Figure 4, and the Currency Exchange
+//!   ledger; Table 7 and the key-actor ranking both read these.
 //!
 //! Each stage reads and writes only its own field, so a run resumed
 //! from the stage journal (fresh carry, earlier stages loaded) computes
@@ -164,26 +164,17 @@ pub struct MeasureCarry {
 /// are processed exactly once, in post-id order — chronological on a
 /// feed world, forum by forum on the world as generated — so warm and
 /// fresh carriers traverse the identical sequence and fold composition
-/// gives equivalence.
+/// gives equivalence. The run's corruption plan is fixed for a whole
+/// stream (it is part of the run key), so the carry may hold what it
+/// decided.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FinanceCarry {
     /// Posts `0..cursor` are folded in.
     pub cursor: usize,
     /// Threads `0..thread_cursor` are folded into the earnings-thread
-    /// tally and the CE-thread ledger below.
+    /// tally.
     pub thread_cursor: usize,
-    /// Per-actor posts in eWhoring threads (Table 7 qualification),
-    /// indexed by actor id.
-    pub ew_posts_by_actor: Vec<u32>,
-    /// Per-actor first eWhoring post day (`Day(u32::MAX)` sentinel).
-    pub first_ew_by_actor: Vec<Day>,
-    /// Every Currency Exchange thread at creation, `(author, thread)`
-    /// in timeline order; qualification is re-checked at assembly.
-    pub ce_threads: Vec<(crimebb::ActorId, ThreadId)>,
     /// Running §5.2 earnings aggregates over `proofs[..agg_cursor]`.
-    /// Folded only when the run's corruption plan is inert — an enabled
-    /// plan filters a per-run copy of the proof list, so the stage
-    /// falls back to the one-shot aggregation instead.
     pub agg: EarningsAgg,
     /// Proofs `0..agg_cursor` are folded into `agg`.
     pub agg_cursor: usize,
@@ -195,10 +186,12 @@ pub struct FinanceCarry {
     /// The §5.1 funnel so far. `earnings_threads` counts each thread
     /// once at creation (board, forum, and heading are fixed then, so
     /// that equals a full rescan at any slice); `proofs` are the
-    /// verified proof records in fold order, *unfiltered* — the run's
-    /// corruption plan is applied to a copy each run so carried state
-    /// never depends on the plan.
+    /// verified proof records in fold order, quarantined ones left out
+    /// and counted as `not_proof`.
     pub harvest: EarningsHarvest,
+    /// Quarantined proofs, each by its index among all verified proofs
+    /// (quarantined or not), ascending.
+    pub quarantined: Vec<usize>,
 }
 
 /// Carry of the `provenance` stage: every reverse-search outcome ever
@@ -213,9 +206,12 @@ pub struct ProvenanceCarry {
 }
 
 /// Carry of the `actors` stage: the §6.1 interaction graph grown
-/// edge-by-edge from the post timeline, plus the eigenvector-centrality
+/// edge-by-edge from the post timeline, the eigenvector-centrality
 /// vector warm-started across epochs (fixed iteration budget and
-/// tolerance, so the warm chain replays bit-identically from scratch).
+/// tolerance, so the warm chain replays bit-identically from scratch),
+/// and the per-actor tallies and Currency Exchange ledger that Table 7
+/// and the key-actor ranking share. It is the only fold of these, and
+/// the shard driver folds per-forum partials of it and merges them.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorsCarry {
     /// Last epoch folded into the graph and centrality chain.
@@ -442,12 +438,7 @@ mod tests {
             .insert(Url::new("i.imgur.com", "/x"));
         carry.finance.thread_cursor = 17;
         carry.finance.harvest.earnings_threads = 4;
-        carry.finance.ew_posts_by_actor = vec![0, 55, 3];
-        carry.finance.first_ew_by_actor = vec![Day(u32::MAX), Day(120), Day(360)];
-        carry
-            .finance
-            .ce_threads
-            .push((crimebb::ActorId(1), ThreadId(9)));
+        carry.finance.quarantined = vec![3, 8];
         carry
             .finance
             .agg
@@ -488,12 +479,7 @@ mod tests {
             .contains(&Url::new("i.imgur.com", "/x")));
         assert_eq!(back.finance.thread_cursor, 17);
         assert_eq!(back.finance.harvest.earnings_threads, 4);
-        assert_eq!(back.finance.ew_posts_by_actor, vec![0, 55, 3]);
-        assert_eq!(
-            back.finance.first_ew_by_actor,
-            vec![Day(u32::MAX), Day(120), Day(360)]
-        );
-        assert_eq!(back.finance.ce_threads, carry.finance.ce_threads);
+        assert_eq!(back.finance.quarantined, vec![3, 8]);
         assert_eq!(back.finance.agg.per_actor, carry.finance.agg.per_actor);
         assert_eq!(back.finance.agg.monthly, carry.finance.agg.monthly);
         assert_eq!(back.finance.agg_cursor, 2);

@@ -42,8 +42,10 @@ use worldgen::WorldConfig;
 /// old run directories are recomputed instead of misread. Version 2:
 /// every run computes through the carry fold, which orders proof
 /// records by post id and fills `topcls.stream_index`, and the finance
-/// carry holds its funnel as one `EarningsHarvest`.
-const FORMAT: u32 = 2;
+/// carry holds its funnel as one `EarningsHarvest`. Version 3: Table 7
+/// (`currency`) is assembled by `actors`, not `finance`, and the finance
+/// carry keeps its quarantined proofs instead of the Table 7 tallies.
+const FORMAT: u32 = 3;
 
 /// FNV-1a 64-bit over `bytes` — stable, dependency-free content hash
 /// for run keys and record checksums.
@@ -302,8 +304,15 @@ macro_rules! stage_slots {
             "measure_images" => $on_stage!(measures),
             "nsfv" => $on_stage!(nsfv_validation, previews_nsfv, funnel),
             "provenance" => $on_stage!(provenance),
-            "finance" => $on_stage!(harvest, earnings, currency),
-            "actors" => $on_stage!(cohorts, fig4_points, key_actors, group_profiles, interests),
+            "finance" => $on_stage!(harvest, earnings),
+            "actors" => $on_stage!(
+                cohorts,
+                fig4_points,
+                key_actors,
+                group_profiles,
+                interests,
+                currency
+            ),
             other => {
                 return Err(corrupt(
                     other,
@@ -456,6 +465,23 @@ mod tests {
             .replace("artifact", "artifice");
         fs::write(&path, tampered).unwrap();
         assert!(matches!(journal.load(2, "crawl"), LoadOutcome::Rejected(_)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_of_another_format_is_rejected() {
+        let dir = tmp_dir("format");
+        let journal = Journal::open(&dir, &WorldConfig::test_scale(8), &options(8)).unwrap();
+        journal.save(7, "finance", &record()).unwrap();
+        let path = journal.dir().join("07-finance.json");
+        let mut envelope: Envelope =
+            serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        envelope.format = FORMAT - 1;
+        fs::write(&path, serde_json::to_string(&envelope).unwrap()).unwrap();
+        match journal.load(7, "finance") {
+            LoadOutcome::Rejected(reason) => assert!(reason.contains("format"), "{reason}"),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

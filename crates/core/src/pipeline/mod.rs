@@ -8,17 +8,17 @@
 //!
 //! Stage order (module ↔ paper section):
 //!
-//! | stage            | module                | paper |
-//! |------------------|-----------------------|-------|
-//! | `extract`        | [`stages::extract`]   | §3    |
-//! | `top_classifier` | [`stages::topcls`]    | §4.1  |
-//! | `crawl`          | [`stages::crawl`]     | §4.2  |
-//! | `measure_images` | [`stages::measure`]   | §4.2  |
-//! | `safety`         | [`stages::safety`]    | §4.3  |
-//! | `nsfv`           | [`stages::nsfv`]      | §4.4  |
-//! | `provenance`     | [`stages::provenance`]| §4.5  |
-//! | `finance`        | [`stages::finance`]   | §5    |
-//! | `actors`         | [`stages::actors`]    | §6    |
+//! | stage            | module                 | paper              |
+//! |------------------|------------------------|--------------------|
+//! | `extract`        | [`stages::extract`]    | §3                 |
+//! | `top_classifier` | [`stages::topcls`]     | §4.1               |
+//! | `crawl`          | [`stages::crawl`]      | §4.2               |
+//! | `measure_images` | [`stages::measure`]    | §4.2               |
+//! | `safety`         | [`stages::safety`]     | §4.3               |
+//! | `nsfv`           | [`stages::nsfv`]       | §4.4               |
+//! | `provenance`     | [`stages::provenance`] | §4.5               |
+//! | `finance`        | [`stages::finance`]    | §5.1 harvest, §5.2 |
+//! | `actors`         | [`stages::actors`]     | §6, §5.1 Table 7   |
 //!
 //! Everything is deterministic in `PipelineOptions::seed`. The hot
 //! stages (`top_classifier`, `measure_images`, `nsfv`, `actors`) run

@@ -10,24 +10,26 @@
 //!   (`sync_channel(1)`) of attempt tickets; the worker runs the shard
 //!   task under `catch_unwind`, so a panicking shard reports a failure
 //!   instead of aborting the process. The supervisor applies a
-//!   [`RestartPolicy`] — bounded restarts with linear backoff and an
-//!   optional per-attempt deadline — and a shard that exhausts its
-//!   restart budget is **quarantined**: its mailbox is dropped, the
-//!   worker exits, and the round completes without it.
+//!   [`RestartPolicy`] — bounded restarts with linear backoff — and a
+//!   shard that exhausts its restart budget is **quarantined**: its
+//!   mailbox is dropped, the worker exits, and the round completes
+//!   without it.
 //! * [`run_sharded`] — the sharded pipeline driver. The corpus survey
-//!   (`extract` plus the `actors` fold over every post) fans out
-//!   per-forum across supervised shards; a merge coordinator folds the
-//!   partials deterministically — extraction rows concatenate in forum
-//!   order, per-actor counters merge via [`ActorFold::merge`], and the
-//!   cross-forum interaction graph is stitched by replaying per-shard
-//!   edge lists in forum order — into the `actors` stage's carry, with
-//!   its cursors at the end of the corpus. The remaining stages run on
-//!   the coordinator through the ordinary driver (`crawl`'s per-host
-//!   circuit breakers couple state across forums, so sharding them
-//!   would change byte output); `actors` then only assembles its
-//!   artifacts from the pre-folded carry. The merged report is
-//!   **byte-identical to the unsharded run at every shard count** —
-//!   `tests/determinism.rs` enforces shards {1,2,5} × workers {1,2,7}.
+//!   fans out per-forum across supervised shards, each running the
+//!   stages' own code over its span: the `extract` stage's corruption
+//!   filter, and the `actors` carry's post and Currency Exchange folds
+//!   over the span's posts and threads (the world as generated numbers
+//!   both forum by forum, so a span is one id range of each). A merge
+//!   coordinator concatenates the extraction rows in forum order and
+//!   merges the partial carries (`ActorsCarry::merge`) into the
+//!   `actors` stage's carry, with its cursors at the end of the corpus.
+//!   The remaining stages run on the coordinator through the ordinary
+//!   driver (`crawl`'s per-host circuit breakers couple state across
+//!   forums, so sharding them would change byte output); `actors` then
+//!   only assembles its artifacts from the pre-folded carry. The merged
+//!   report is **byte-identical to the unsharded run at every shard
+//!   count** — `tests/determinism.rs` enforces shards {1,2,5} × workers
+//!   {1,2,7}, with and without fault and corruption plans.
 //! * Degradation — a quarantined shard's forums simply contribute
 //!   nothing: its extraction rows stay empty, a `ShardFailure` entry
 //!   lands in the quarantine ledger, the pipeline-health section gains
@@ -38,17 +40,13 @@
 use super::corruption::RecordErrorKind;
 use super::ctx::{carry_mut, StageCtx};
 use super::epoch::ActorsCarry;
+use super::stages::extract::{drop_corrupt_rows, finish};
 use super::{
     Pipeline, PipelineOptions, PipelineReport, StageError, StageHealth, StageStatus, StageTiming,
     TimingSource,
 };
-use crate::actors::ActorFold;
-use crate::extract::{extract_ewhoring_threads_in, EwhoringSet};
-use crate::pipeline::corruption::CorruptionPlan;
-use crimebb::{ActorId, BoardCategory, ThreadId};
+use crate::extract::{extract_ewhoring_threads_in, thread_mask, EwhoringSet};
 use serde::{Deserialize, Serialize};
-use socgraph::DiGraph;
-use std::collections::HashSet;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, SyncSender};
@@ -66,14 +64,6 @@ pub struct RestartPolicy {
     /// server to be polite to, so there is no jitter to stay
     /// deterministic).
     pub backoff: Duration,
-    /// Per-attempt wall-clock deadline. An attempt that finishes past
-    /// it — even successfully — counts as a failure, so a hung shard
-    /// burns its restart budget and quarantines instead of stalling
-    /// the round. `None` (default) disables the check: the merge
-    /// contract is byte-identity, and a timing-dependent outcome would
-    /// break it, so deadlines are opt-in for callers that prefer
-    /// liveness over determinism.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RestartPolicy {
@@ -81,7 +71,6 @@ impl Default for RestartPolicy {
         RestartPolicy {
             max_restarts: 2,
             backoff: Duration::from_millis(5),
-            deadline: None,
         }
     }
 }
@@ -178,7 +167,6 @@ impl Supervisor {
         let (result_tx, result_rx) = mpsc::channel::<(usize, u32, Result<T, String>)>();
         std::thread::scope(|scope| {
             let task = &task;
-            let deadline = self.policy.deadline;
             let mut mailboxes: Vec<Option<SyncSender<u32>>> = (0..shards)
                 .map(|s| {
                     let (tx, rx) = mpsc::sync_channel::<u32>(1);
@@ -188,16 +176,9 @@ impl Supervisor {
                         // the task under catch_unwind, report back.
                         // Exits when the supervisor drops the mailbox.
                         while let Ok(attempt) = rx.recv() {
-                            let started = Instant::now();
                             let result = match catch_unwind(AssertUnwindSafe(|| task(s, attempt))) {
                                 Ok(r) => r,
                                 Err(payload) => Err(render_panic(payload)),
-                            };
-                            let result = match (deadline, result) {
-                                (Some(limit), Ok(_)) if started.elapsed() > limit => Err(format!(
-                                    "shard {s} attempt {attempt} exceeded its {limit:?} deadline"
-                                )),
-                                (_, r) => r,
                             };
                             if results.send((s, attempt, result)).is_err() {
                                 break;
@@ -268,99 +249,12 @@ fn render_panic(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Everything one shard's survey pass produces.
-struct ShardPartial {
-    /// The shard's forums' extraction rows (post corruption filter).
-    set: EwhoringSet,
-    /// Extraction count before the corruption filter ran.
-    before: usize,
-    /// Quarantined records, in the extract stage's per-forum order.
-    quarantined: Vec<(String, RecordErrorKind)>,
-    /// Per-actor counters over the shard's posts.
-    fold: ActorFold,
-    /// Interaction edges over the shard's eWhoring threads.
-    edges: Vec<(u32, u32)>,
-    /// CE-thread ledger rows for the shard's forums.
-    ce_threads: Vec<(ActorId, ThreadId)>,
-}
-
-/// One shard's survey pass: extraction (with the extract stage's
-/// corruption filter replicated per-forum), the actor fold, the interaction-edge
-/// list, and the CE ledger — everything that is a pure function of the
-/// shard's forum span. Extraction is per-forum independent (a thread's
-/// dedup entry can only come from its own forum), corruption draws are
-/// pure per-thread, and every post belongs to exactly one forum, so
-/// concatenating these partials in forum order reproduces the unsharded
-/// artifacts exactly.
-fn shard_survey(world: &World, plan: &CorruptionPlan, span: Range<usize>) -> ShardPartial {
-    let corpus = &world.corpus;
-    let mut set = extract_ewhoring_threads_in(corpus, span.clone());
-    let before = set.len();
-    let mut quarantined = Vec::new();
-    if plan.is_enabled() {
-        for (_, threads) in &mut set.per_forum {
-            threads.retain(|&t| {
-                if let Some(kind) = plan.thread_row(t) {
-                    quarantined.push((format!("thread/{}", t.0), kind));
-                    return false;
-                }
-                if let Some(bytes) = plan.mangled_heading(t, &corpus.thread(t).heading) {
-                    // The plan damages bytes; only an actual UTF-8
-                    // validation failure quarantines the record.
-                    if std::str::from_utf8(&bytes).is_err() {
-                        quarantined.push((
-                            format!("thread/{}", t.0),
-                            RecordErrorKind::InvalidUtf8Heading,
-                        ));
-                        return false;
-                    }
-                }
-                true
-            });
-        }
-    }
-
-    // The `actors` fold over the span's posts: per-actor counters,
-    // interaction edges (every reply but the opening post in an
-    // eWhoring thread, aimed at the quoted post's author or else the
-    // thread's), and the CE-thread ledger.
-    let ewset: HashSet<ThreadId> = set.all_threads().into_iter().collect();
-    let mut fold = ActorFold::default();
-    fold.ensure(corpus.actors().len());
-    let mut edges = Vec::new();
-    let mut ce_threads = Vec::new();
-    for thread in corpus.threads() {
-        if !span.contains(&corpus.board(thread.board).forum.index()) {
-            continue;
-        }
-        let in_ew = ewset.contains(&thread.id);
-        for (i, &p) in corpus.posts_in_thread(thread.id).iter().enumerate() {
-            let post = corpus.post(p);
-            fold.note_post(post.author, post.date, in_ew);
-            if !in_ew || i == 0 {
-                continue;
-            }
-            let target = match post.quotes {
-                Some(q) => corpus.post(q).author,
-                None => thread.author,
-            };
-            if post.author != target {
-                edges.push((post.author.0, target.0));
-            }
-        }
-        if corpus.board(thread.board).category == BoardCategory::CurrencyExchange {
-            ce_threads.push((thread.author, thread.id));
-        }
-    }
-
-    ShardPartial {
-        set,
-        before,
-        quarantined,
-        fold,
-        edges,
-        ce_threads,
-    }
+/// The ids of `items` whose forum index (`forum_of`) falls in
+/// `forums`. The world as generated numbers threads and posts forum by
+/// forum, so that is one contiguous range, found by binary search.
+fn id_range<T>(items: &[T], forum_of: impl Fn(&T) -> usize, forums: &Range<usize>) -> Range<usize> {
+    items.partition_point(|x| forum_of(x) < forums.start)
+        ..items.partition_point(|x| forum_of(x) < forums.end)
 }
 
 /// Applies [`ShardPoison`] at the top of a shard attempt. A panic here
@@ -399,11 +293,34 @@ pub(super) fn run_sharded(
     let spans = partition_spans(corpus.forums().len(), shards);
 
     // ---- survey round (the sharded `extract` stage) ----
+    // Each shard runs the `extract` stage's filter and the `actors`
+    // carry's folds over its forum span. Extraction, corruption draws
+    // and both folds are per-forum independent, so the partials merge
+    // into exactly the unsharded artifacts.
     let t = Instant::now();
     let poison = options.poison;
+    let forum_of_thread = |th: &crimebb::Thread| corpus.board(th.board).forum.index();
+    let forum_of_post = |p: &crimebb::Post| forum_of_thread(corpus.thread(p.thread));
+    assert!(
+        corpus.threads().is_sorted_by_key(forum_of_thread)
+            && corpus.posts().is_sorted_by_key(forum_of_post),
+        "the shard driver needs the world as generated: ids forum by forum"
+    );
     let (outcomes, stats) = supervisor.run_round(shards, |s, attempt| {
         poison_check(poison, s, attempt)?;
-        Ok(shard_survey(world, &plan, spans[s].clone()))
+        let forums = &spans[s];
+        let mut set = extract_ewhoring_threads_in(corpus, forums.clone());
+        let quarantined = drop_corrupt_rows(corpus, &plan, &mut set);
+        let in_ew = thread_mask(corpus, &set.all_threads());
+        let mut part = ActorsCarry::default();
+        part.ensure(corpus.actors().len());
+        part.fold_posts(
+            corpus,
+            &in_ew,
+            id_range(corpus.posts(), forum_of_post, forums),
+        );
+        part.fold_ce_threads(corpus, id_range(corpus.threads(), forum_of_thread, forums));
+        Ok((set, quarantined, part))
     });
     ctx.supervision = Supervision {
         shards_run: stats.run,
@@ -416,27 +333,20 @@ pub(super) fn run_sharded(
     // quarantined shard's forums stay empty (its partition degrades
     // out of the report instead of failing the run).
     let mut per_forum: Vec<_> = corpus.forums().iter().map(|f| (f.id, Vec::new())).collect();
-    let mut fold = ActorFold::default();
-    fold.ensure(corpus.actors().len());
-    let mut edges = Vec::new();
-    let mut ce_threads = Vec::new();
-    let mut before_total = 0;
-    let mut record_quarantines = 0;
+    let mut actors = ActorsCarry::default();
+    let mut records = 0;
     let mut lost_shards = 0;
     for (s, outcome) in outcomes.into_iter().enumerate() {
         match outcome {
-            RoundOutcome::Done(p) => {
-                before_total += p.before;
-                for (f, ts) in p.set.per_forum {
+            RoundOutcome::Done((set, quarantined, part)) => {
+                for (f, ts) in set.per_forum {
                     per_forum[f.index()].1 = ts;
                 }
-                record_quarantines += p.quarantined.len();
-                for (record, kind) in p.quarantined {
+                records += quarantined.len();
+                for (record, kind) in quarantined {
                     ctx.ledger.record("extract", record, kind);
                 }
-                fold.merge(&p.fold);
-                edges.extend(p.edges);
-                ce_threads.extend(p.ce_threads);
+                actors.merge(&part);
             }
             RoundOutcome::Quarantined { attempts, error } => {
                 lost_shards += 1;
@@ -457,34 +367,17 @@ pub(super) fn run_sharded(
         });
     }
     let set = EwhoringSet { per_forum };
-    if plan.is_enabled() && set.is_empty() && before_total > 0 {
-        return Err(StageError::Quarantined {
-            stage: "extract",
-            records: record_quarantines,
-        });
-    }
+    let items = set.len();
+    finish(&mut ctx, set, records)?;
     ctx.timings.push(StageTiming {
         stage: "extract".to_string(),
         wall_us: t.elapsed().as_micros(),
-        items: set.len(),
+        items,
         source: TimingSource::Computed,
     });
-    ctx.all_threads = Some(set.all_threads());
-    ctx.extraction = Some(set);
-    // The graph's adjacency is kept sorted with integer weights, so the
-    // replayed edges build the same graph whatever their order.
-    let mut graph = DiGraph::with_nodes(corpus.actors().len());
-    for (a, b) in edges {
-        graph.add_edge(a, b, 1.0);
-    }
-    carry_mut(&mut ctx.carry)?.actors = ActorsCarry {
-        cursor: corpus.posts().len(),
-        graph,
-        fold,
-        ce_cursor: corpus.threads().len(),
-        ce_threads,
-        ..ActorsCarry::default()
-    };
+    actors.cursor = corpus.posts().len();
+    actors.ce_cursor = corpus.threads().len();
+    carry_mut(&mut ctx.carry)?.actors = actors;
 
     // ---- coordinator-side tail ----
     // Crawl's per-host circuit breakers and request budgets couple
@@ -506,7 +399,6 @@ mod tests {
         RestartPolicy {
             max_restarts,
             backoff: Duration::from_millis(1),
-            deadline: None,
         }
     }
 
@@ -572,28 +464,6 @@ mod tests {
             assert!(matches!(outcomes[s], RoundOutcome::Done(v) if v == s));
         }
         assert_eq!(stats.quarantined, 1);
-    }
-
-    #[test]
-    fn deadline_overrun_counts_as_failure() {
-        let sup = Supervisor::new(RestartPolicy {
-            max_restarts: 0,
-            backoff: Duration::from_millis(1),
-            deadline: Some(Duration::ZERO),
-        });
-        let (outcomes, stats) = sup.run_round(2, |s, _| {
-            std::thread::sleep(Duration::from_millis(2));
-            Ok::<_, String>(s)
-        });
-        for o in &outcomes {
-            match o {
-                RoundOutcome::Quarantined { error, .. } => {
-                    assert!(error.contains("deadline"), "{error}");
-                }
-                RoundOutcome::Done(_) => panic!("zero deadline fails every attempt"),
-            }
-        }
-        assert_eq!(stats.quarantined, 2);
     }
 
     #[test]

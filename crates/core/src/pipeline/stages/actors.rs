@@ -1,19 +1,27 @@
-//! Stage `actors`: cohorts, interaction graph, and key actors (paper §6).
+//! Stage `actors`: cohorts, interaction graph, key actors (paper §6),
+//! and the Currency Exchange table (paper §5.1, Table 7).
+//!
+//! Table 7 and the key-actor ranking read the same per-actor eWhoring
+//! tallies and the same Currency Exchange ledger, so both are assembled
+//! here from the one [`ActorsCarry`] fold.
 
 use crate::actors::{
     cohort_table, group_profiles, interest_evolution, popularity,
-    select_key_actors_with_centrality, ActorFold, KeyActorInputs,
+    select_key_actors_with_centrality, KeyActorInputs,
 };
-use crate::finance::qualifying_ce_threads;
+use crate::extract::thread_mask;
+use crate::finance::CurrencyExchangeAnalysis;
 use crate::pipeline::corruption::RecordErrorKind;
 use crate::pipeline::ctx::{carry_mut, require};
+use crate::pipeline::epoch::ActorsCarry;
 use crate::pipeline::{Stage, StageCtx, StageError};
-use crimebb::{ActorId, BoardCategory, Corpus, ForumId, ThreadId};
-use socgraph::{eigenvector_centrality_from, DiGraph};
-use std::collections::{HashMap, HashSet};
+use crimebb::{ActorId, BoardCategory, Corpus, ForumId};
+use socgraph::eigenvector_centrality_from;
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Produces `cohorts`, `fig4_points`, `key_actors`, `group_profiles`,
-/// and `interests`.
+/// `interests`, and `currency`.
 pub struct ActorsStage;
 
 impl Stage for ActorsStage {
@@ -42,14 +50,11 @@ impl Stage for ActorsStage {
         // Every actor exists from the base world on, so the node set is
         // fixed across all slices. A carry the shard driver pre-folded
         // arrives with its graph built and its cursors at the end.
-        if carry.graph.node_count() == 0 {
-            carry.graph = DiGraph::with_nodes(n_actors);
-        }
+        carry.ensure(n_actors);
         if carry.influence.is_empty() {
             carry.influence = vec![1.0 / (n_actors as f64).sqrt(); n_actors];
         }
-        carry.fold.ensure(n_actors);
-        let ewset: HashSet<ThreadId> = all_threads.iter().copied().collect();
+        let in_ew = thread_mask(corpus, all_threads);
         let posts = corpus.posts();
         for j in carry.epoch + 1..=spec.upto {
             // The final slice runs to the end of the timeline. Earlier
@@ -61,26 +66,7 @@ impl Stage for ActorsStage {
                 let bound = spec.bound(&world.config, j);
                 posts.partition_point(|p| p.date <= bound)
             };
-            for post in &posts[carry.cursor..boundary] {
-                let t = post.thread;
-                let in_ew = ewset.contains(&t);
-                carry.fold.note_post(post.author, post.date, in_ew);
-                if !in_ew {
-                    continue;
-                }
-                // The opening post starts the thread, it replies to
-                // nothing.
-                if corpus.posts_in_thread(t).first() == Some(&post.id) {
-                    continue;
-                }
-                let target = match post.quotes {
-                    Some(q) => corpus.post(q).author,
-                    None => corpus.thread(t).author,
-                };
-                if post.author != target {
-                    carry.graph.add_edge(post.author.0, target.0, 1.0);
-                }
-            }
+            carry.fold_posts(corpus, &in_ew, carry.cursor..boundary);
             carry.cursor = boundary;
             carry.influence = eigenvector_centrality_from(
                 &carry.graph,
@@ -90,19 +76,10 @@ impl Stage for ActorsStage {
             );
         }
         carry.epoch = spec.upto;
-        // CE-thread ledger grown at creation (board and author are fixed
-        // then); the >50-post qualification is re-checked at assembly
-        // because it can be crossed slices later.
-        let threads = corpus.threads();
-        for th in &threads[carry.ce_cursor..] {
-            if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
-                carry.ce_threads.push((th.author, th.id));
-            }
-        }
-        carry.ce_cursor = threads.len();
+        carry.fold_ce_threads(corpus, carry.ce_cursor..corpus.threads().len());
+        carry.ce_cursor = corpus.threads().len();
+        let (currency, ce_by_actor) = currency_exchange(corpus, world.hackforums, carry);
         let metrics = carry.fold.metrics();
-        let ce_by_actor =
-            ce_threads_from_fold(corpus, world.hackforums, &carry.fold, &carry.ce_threads);
         let graph = &carry.graph;
         let centrality = &carry.influence;
         let cohorts = cohort_table(&metrics);
@@ -156,32 +133,105 @@ impl Stage for ActorsStage {
         ctx.key_actors = Some(key_actors);
         ctx.group_profiles = Some(profiles);
         ctx.interests = Some(interests);
+        ctx.currency = Some(currency);
         Ok(())
     }
 }
 
-/// Post-eWhoring Currency Exchange thread counts per qualifying actor
-/// (paper §5.1), from the carried per-actor eWhoring tallies and CE
-/// ledger through the Table 7 gates ([`qualifying_ce_threads`]). The
-/// output map's contents (never its iteration order) feed the key-actor
-/// ranking, so equality of contents is equality of artifact.
-pub(crate) fn ce_threads_from_fold(
+impl ActorsCarry {
+    /// Sizes the metric counters and the graph for `n_actors`.
+    /// Idempotent on warm carries.
+    pub(crate) fn ensure(&mut self, n_actors: usize) {
+        self.fold.ensure(n_actors);
+        self.graph.ensure_nodes(n_actors);
+    }
+
+    /// Folds posts `range` (by id) into the per-actor counters and the
+    /// §6.1 reply/quote graph. `in_ew` marks the extracted eWhoring
+    /// threads by [`crimebb::ThreadId::index`]. Every post of an
+    /// eWhoring thread but the opening one is an edge from its author to
+    /// the quoted post's author, or else to the thread's author;
+    /// self-replies add nothing. Counts, `min`/`max` days and integer
+    /// edge weights are order-insensitive, so any split of the post list
+    /// into ranges folds to the same carry.
+    pub(crate) fn fold_posts(&mut self, corpus: &Corpus, in_ew: &[bool], range: Range<usize>) {
+        for post in &corpus.posts()[range] {
+            let t = post.thread;
+            let ew = in_ew[t.index()];
+            self.fold.note_post(post.author, post.date, ew);
+            // The opening post starts the thread, it replies to nothing.
+            if !ew || corpus.posts_in_thread(t).first() == Some(&post.id) {
+                continue;
+            }
+            let target = match post.quotes {
+                Some(q) => corpus.post(q).author,
+                None => corpus.thread(t).author,
+            };
+            if post.author != target {
+                self.graph.add_edge(post.author.0, target.0, 1.0);
+            }
+        }
+    }
+
+    /// Appends the Currency Exchange threads among threads `range` (by
+    /// id) to the ledger. Board and author are fixed at creation; the
+    /// Table 7 gates are checked at assembly, because an actor can cross
+    /// the post threshold slices after opening a thread.
+    pub(crate) fn fold_ce_threads(&mut self, corpus: &Corpus, range: Range<usize>) {
+        for th in &corpus.threads()[range] {
+            if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
+                self.ce_threads.push((th.author, th.id));
+            }
+        }
+    }
+
+    /// Merges another carry's folds in: counters via
+    /// [`ActorFold::merge`], graph edges re-added from `out_edges`
+    /// (integer weights, so the order of additions cannot change a
+    /// sum), and the other ledger appended after this one. Cursors,
+    /// epoch and centrality are left to the caller.
+    ///
+    /// [`ActorFold::merge`]: crate::actors::ActorFold::merge
+    pub(crate) fn merge(&mut self, other: &ActorsCarry) {
+        self.ensure(other.graph.node_count());
+        self.fold.merge(&other.fold);
+        for a in 0..other.graph.node_count() as u32 {
+            for &(b, w) in other.graph.out_edges(a) {
+                self.graph.add_edge(a, b, w);
+            }
+        }
+        self.ce_threads.extend_from_slice(&other.ce_threads);
+    }
+}
+
+/// Table 7 and the per-actor Currency Exchange thread counts behind the
+/// key-actor ranking, from one pass over the ledger threads that pass
+/// the Table 7 gates: the actor is a HackForums member with more than
+/// 50 eWhoring posts, and the thread is on HackForums and started on or
+/// after the actor's first eWhoring post. The map's contents (never its
+/// iteration order) feed the ranking.
+fn currency_exchange(
     corpus: &Corpus,
     hackforums: ForumId,
-    fold: &ActorFold,
-    ce_threads: &[(ActorId, ThreadId)],
-) -> HashMap<ActorId, usize> {
-    let mut out = HashMap::new();
-    for (actor, _) in qualifying_ce_threads(
-        corpus,
-        hackforums,
-        &fold.ew_posts,
-        &fold.first_ew,
-        ce_threads,
-    ) {
-        *out.entry(actor).or_insert(0) += 1;
+    carry: &ActorsCarry,
+) -> (CurrencyExchangeAnalysis, HashMap<ActorId, usize>) {
+    let fold = &carry.fold;
+    let mut table = CurrencyExchangeAnalysis::default();
+    let mut by_actor: HashMap<ActorId, usize> = HashMap::new();
+    for &(actor, t) in &carry.ce_threads {
+        let i = actor.index();
+        let thread = corpus.thread(t);
+        if fold.ew_posts[i] > 50
+            && corpus.actor(actor).forum == hackforums
+            && corpus.forum_of_thread(t) == hackforums
+            && thread.created >= fold.first_ew[i]
+        {
+            *by_actor.entry(actor).or_insert(0) += 1;
+            table.tally(&thread.heading);
+        }
     }
-    out
+    table.actors = by_actor.len();
+    (table, by_actor)
 }
 
 #[cfg(test)]
@@ -190,11 +240,12 @@ mod tests {
     use crimebb::CorpusBuilder;
     use synthrand::Day;
 
-    /// Hand-built corpus exercising every gate of `ce_threads_from_fold`:
-    /// the >50-posts threshold, the HackForums-membership requirement,
-    /// and the started-after-first-eWhoring-post cutoff.
+    /// Hand-built corpus exercising every Table 7 gate of
+    /// `currency_exchange`: the >50-posts threshold, the
+    /// HackForums-membership requirement, and the
+    /// started-after-first-eWhoring-post cutoff.
     #[test]
-    fn ce_threads_from_fold_applies_every_gate() {
+    fn currency_exchange_applies_every_gate() {
         let mut b = CorpusBuilder::new();
         let hf = b.add_forum("Hackforums");
         let other = b.add_forum("Elsewhere");
@@ -261,22 +312,19 @@ mod tests {
         b.add_thread(ce, early, "btc", Day::from_ymd(2015, 6, 1));
         let corpus = b.build();
 
-        // The fold and the CE ledger as the stage builds them: every
-        // post once, every Currency Exchange thread at creation.
-        let ewset: HashSet<ThreadId> = [t_ew, t_ew2].into_iter().collect();
-        let mut fold = ActorFold::default();
-        fold.ensure(corpus.actors().len());
-        for post in corpus.posts() {
-            fold.note_post(post.author, post.date, ewset.contains(&post.thread));
-        }
-        let ledger: Vec<(ActorId, ThreadId)> = corpus
-            .threads()
-            .iter()
-            .filter(|th| corpus.board(th.board).category == BoardCategory::CurrencyExchange)
-            .map(|th| (th.author, th.id))
-            .collect();
-        assert_eq!(ledger.len(), 5, "every CE thread enters the ledger");
-        let out = ce_threads_from_fold(&corpus, hf, &fold, &ledger);
+        // The carry as the stage folds it: every post once, every
+        // Currency Exchange thread at creation.
+        let mut carry = ActorsCarry::default();
+        carry.ensure(corpus.actors().len());
+        let in_ew = thread_mask(&corpus, &[t_ew, t_ew2]);
+        carry.fold_posts(&corpus, &in_ew, 0..corpus.posts().len());
+        carry.fold_ce_threads(&corpus, 0..corpus.threads().len());
+        assert_eq!(
+            carry.ce_threads.len(),
+            5,
+            "every CE thread enters the ledger"
+        );
+        let (table, out) = currency_exchange(&corpus, hf, &carry);
 
         assert_eq!(out.get(&heavy), Some(&2), "qualifies on every gate");
         assert!(!out.contains_key(&light), "≤50 eWhoring posts");
@@ -289,5 +337,7 @@ mod tests {
             "CE thread predates their first eWhoring post"
         );
         assert_eq!(out.len(), 1);
+        assert_eq!((table.actors, table.threads), (1, 2));
+        assert_eq!(table.offered.values().sum::<usize>(), 2);
     }
 }

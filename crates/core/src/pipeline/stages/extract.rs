@@ -6,12 +6,11 @@
 //! are quarantined (stage, record key, error kind) and dropped from the
 //! extraction set; at severity `0.0` the plan is inert and the set is
 //! byte-identical to the uncorrupted pipeline.
-//!
-//! [`CorruptionPlan`]: crate::pipeline::corruption::CorruptionPlan
 
 use crate::extract::{extract_ewhoring_threads, EwhoringSet};
-use crate::pipeline::corruption::RecordErrorKind;
+use crate::pipeline::corruption::{CorruptionPlan, RecordErrorKind};
 use crate::pipeline::{Stage, StageCtx, StageError};
+use crimebb::Corpus;
 
 /// Produces `extraction` and `all_threads`.
 pub struct ExtractStage;
@@ -23,52 +22,64 @@ impl Stage for ExtractStage {
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), StageError> {
         let mut set = extract_ewhoring_threads(&ctx.world.corpus);
-        let plan = ctx.corruption;
-        if plan.is_enabled() {
-            let before = set.len();
-            let mut quarantined = Vec::new();
-            for (_, threads) in &mut set.per_forum {
-                threads.retain(|&t| {
-                    if let Some(kind) = plan.thread_row(t) {
-                        quarantined.push((format!("thread/{}", t.0), kind));
-                        return false;
-                    }
-                    if let Some(bytes) =
-                        plan.mangled_heading(t, &ctx.world.corpus.thread(t).heading)
-                    {
-                        // The plan damages bytes; only an actual UTF-8
-                        // validation failure quarantines the record.
-                        if std::str::from_utf8(&bytes).is_err() {
-                            quarantined.push((
-                                format!("thread/{}", t.0),
-                                RecordErrorKind::InvalidUtf8Heading,
-                            ));
-                            return false;
-                        }
-                    }
-                    true
-                });
-            }
-            let records = quarantined.len();
-            for (record, kind) in quarantined {
-                ctx.ledger.record("extract", record, kind);
-            }
-            if set.is_empty() && before > 0 {
-                return Err(StageError::Quarantined {
-                    stage: "extract",
-                    records,
-                });
-            }
+        let quarantined = drop_corrupt_rows(&ctx.world.corpus, &ctx.corruption, &mut set);
+        let records = quarantined.len();
+        for (record, kind) in quarantined {
+            ctx.ledger.record("extract", record, kind);
         }
-        finish(ctx, set);
-        Ok(())
+        ctx.note_items(set.len());
+        finish(ctx, set, records)
     }
 }
 
-/// Writes the (possibly filtered) extraction set into the context.
-fn finish(ctx: &mut StageCtx<'_>, set: EwhoringSet) {
-    let all_threads = set.all_threads();
-    ctx.note_items(set.len());
-    ctx.all_threads = Some(all_threads);
+/// Drops every thread row the plan damages from `set` and returns the
+/// quarantined records in per-forum order. A row is damaged when the
+/// plan truncates or malforms it, or when its mangled heading fails
+/// UTF-8 validation (the plan damages bytes; only an actual validation
+/// failure quarantines the record). An inert plan drops nothing. Every
+/// draw is pure per thread, so filtering a span of forums gives exactly
+/// that span's rows of the whole-corpus filter.
+pub(crate) fn drop_corrupt_rows(
+    corpus: &Corpus,
+    plan: &CorruptionPlan,
+    set: &mut EwhoringSet,
+) -> Vec<(String, RecordErrorKind)> {
+    let mut quarantined = Vec::new();
+    if !plan.is_enabled() {
+        return quarantined;
+    }
+    for (_, threads) in &mut set.per_forum {
+        threads.retain(|&t| {
+            let kind = plan.thread_row(t).or_else(|| {
+                let bytes = plan.mangled_heading(t, &corpus.thread(t).heading)?;
+                std::str::from_utf8(&bytes)
+                    .is_err()
+                    .then_some(RecordErrorKind::InvalidUtf8Heading)
+            });
+            if let Some(kind) = kind {
+                quarantined.push((format!("thread/{}", t.0), kind));
+            }
+            kind.is_none()
+        });
+    }
+    quarantined
+}
+
+/// Writes the filtered extraction set into the context. A set the
+/// corruption filter emptied (`records` rows quarantined, none left)
+/// fails the stage: nothing downstream can be measured.
+pub(crate) fn finish(
+    ctx: &mut StageCtx<'_>,
+    set: EwhoringSet,
+    records: usize,
+) -> Result<(), StageError> {
+    if set.is_empty() && records > 0 {
+        return Err(StageError::Quarantined {
+            stage: "extract",
+            records,
+        });
+    }
+    ctx.all_threads = Some(set.all_threads());
     ctx.extraction = Some(set);
+    Ok(())
 }

@@ -531,6 +531,22 @@ mod tests {
         assert_ne!(a.corpus.posts().len(), b.corpus.posts().len());
     }
 
+    /// The shard driver cuts the corpus into forum spans by id range
+    /// and relies on no post crossing a span: thread and post ids run
+    /// forum by forum, and every post is by a member of its forum.
+    #[test]
+    fn ids_run_forum_by_forum_and_no_one_posts_abroad() {
+        for seed in [0xAB, 11, 0x5AD] {
+            let c = World::generate(WorldConfig::test_scale(seed)).corpus;
+            let forum_of = |t: crimebb::ThreadId| c.forum_of_thread(t).index();
+            assert!(c.threads().is_sorted_by_key(|t| forum_of(t.id)), "{seed}");
+            assert!(c.posts().is_sorted_by_key(|p| forum_of(p.thread)), "{seed}");
+            for p in c.posts() {
+                assert_eq!(c.actor(p.author).forum, c.forum_of_thread(p.thread));
+            }
+        }
+    }
+
     #[test]
     fn hackforums_has_side_boards_and_activity() {
         let w = world();

@@ -10,7 +10,7 @@ use ewhoring_core::extract::extract_ewhoring_threads;
 use ewhoring_core::finance::{
     analyse_currency_exchange, analyse_earnings, harvest_earnings_stream,
 };
-use ewhoring_core::pipeline::EpochCarry;
+use ewhoring_core::pipeline::{CorruptionPlan, EpochCarry};
 use ewhoring_core::report::quantiles;
 use safety::SafetyGate;
 
@@ -21,7 +21,13 @@ fn main() {
 
     // One fresh fold over the whole post list, as the finance stage runs it.
     let mut carry = EpochCarry::default();
-    let harvest = harvest_earnings_stream(&world, &gate, &threads, &mut carry.finance);
+    let harvest = harvest_earnings_stream(
+        &world,
+        &gate,
+        &threads,
+        &CorruptionPlan::disabled(),
+        &mut carry.finance,
+    );
     println!(
         "harvest: {} earnings threads → {} posts with links → {} unique URLs",
         harvest.earnings_threads, harvest.posts_with_links, harvest.unique_urls

@@ -76,11 +76,17 @@ fn main() {
     use ewhoring_core::extract::extract_ewhoring_threads;
     use ewhoring_core::finance::harvest_earnings_stream;
     use ewhoring_core::intervention::screen_payment_accounts;
-    use ewhoring_core::pipeline::EpochCarry;
+    use ewhoring_core::pipeline::{CorruptionPlan, EpochCarry};
     let threads = extract_ewhoring_threads(&world.corpus).all_threads();
     let gate = safety::SafetyGate::new(world.hashlist.clone());
     let mut carry = EpochCarry::default();
-    let harvest = harvest_earnings_stream(&world, &gate, &threads, &mut carry.finance);
+    let harvest = harvest_earnings_stream(
+        &world,
+        &gate,
+        &threads,
+        &CorruptionPlan::disabled(),
+        &mut carry.finance,
+    );
     for min_tx in [5u32, 10, 20] {
         let s = screen_payment_accounts(&harvest.proofs, min_tx);
         println!(

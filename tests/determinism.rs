@@ -80,32 +80,44 @@ fn report_is_byte_identical_across_worker_counts() {
 /// unsharded driver at *every* shard count — including `1` (pure
 /// supervision overhead), counts that divide the forum list unevenly,
 /// and counts exceeding it — and at every worker count inside each
-/// shard. Extraction is per-forum independent, the actor fold merges
-/// order-insensitively, and the replayed edges build the same sorted,
-/// integer-weighted graph the `actors` fold does, so nothing may move.
+/// shard, with and without fault and corruption plans. Extraction and
+/// its corruption filter are per-forum independent, and the partial
+/// `actors` carries merge order-insensitively into the sorted,
+/// integer-weighted graph and counters the unsharded fold builds, so
+/// nothing may move.
 #[test]
 fn sharded_run_is_byte_identical_to_the_unsharded_driver() {
     use ewhoring_core::pipeline::{Pipeline, PipelineOptions};
 
     let world = ewhoring_suite::demo_world(0xD37);
-    let run = |shards: usize, workers: usize| {
-        let report = Pipeline::new(PipelineOptions {
-            k_key_actors: 12,
-            workers,
-            shards,
-            ..PipelineOptions::default()
-        })
-        .run(&world);
-        report_snapshot(&report)
-    };
-    let reference = run(0, 1);
-    for shards in [1, 2, 5] {
-        for workers in [1, 2, 7] {
-            assert_eq!(
-                run(shards, workers).as_bytes(),
-                reference.as_bytes(),
-                "shards={shards} workers={workers} diverged from the unsharded report"
-            );
+    for severity in [0.0, 1.0] {
+        let run = |shards: usize, workers: usize| {
+            let report = Pipeline::new(PipelineOptions {
+                k_key_actors: 12,
+                workers,
+                shards,
+                fault_severity: severity,
+                corruption_severity: severity,
+                ..PipelineOptions::default()
+            })
+            .run(&world);
+            report_snapshot(&report)
+        };
+        let reference = run(0, 1);
+        assert_eq!(
+            reference.contains("\"thread/"),
+            severity > 0.0,
+            "the corruption plan quarantines extracted rows exactly when enabled"
+        );
+        for shards in [1, 2, 5] {
+            for workers in [1, 2, 7] {
+                assert_eq!(
+                    run(shards, workers).as_bytes(),
+                    reference.as_bytes(),
+                    "severity={severity} shards={shards} workers={workers} \
+                     diverged from the unsharded report"
+                );
+            }
         }
     }
 }

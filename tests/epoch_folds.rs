@@ -2,12 +2,13 @@
 //!
 //! `EpochEngine::advance` assembles the earnings analysis, the cohort
 //! table, and the Currency Exchange marginals from carried counters
-//! (`EarningsAgg`, `ActorFold`, the CE-thread ledgers) folded over only
-//! each epoch's delta slice. These tests pin the other end of that
-//! contract: the folded artifacts must serialize byte-for-byte equal to
-//! a direct batch recomputation over the final streamed world, across
-//! worker counts and epoch counts — including epochs=1, where the
-//! "fold" is a single slice covering the whole timeline.
+//! (`EarningsAgg`, and the `actors` carry's `ActorFold` and CE-thread
+//! ledger) folded over only each epoch's delta slice. These tests pin
+//! the other end of that contract: the folded artifacts must serialize
+//! byte-for-byte equal to a direct batch recomputation over the final
+//! streamed world, across worker counts and epoch counts — including
+//! epochs=1, where the "fold" is a single slice covering the whole
+//! timeline.
 
 use ewhoring_core::actors::{actor_metrics, cohort_table};
 use ewhoring_core::extract::extract_ewhoring_threads;
