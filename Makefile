@@ -30,14 +30,18 @@ build:
 # own unit tests and wire tests (`crates/bench/tests/serve.rs`), then the
 # unit tests of world generation, the reverse index and the parallel
 # layer, then those of the pipeline core and the remaining substrate
-# crates — none of which a root-package `cargo test` runs. `imagesim`
-# stays out until its two known hash-test failures are fixed (ROADMAP
-# item 2).
+# crates — none of which a root-package `cargo test` runs — and last
+# the image kernels' tests (the fused ≡ reference and kernel ≡ oracle
+# checks, and the pinned render fingerprint). Only the two known
+# robust-hash test failures are skipped there, until ROADMAP item 2
+# fixes them.
 test:
 	$(CARGO) test $(OFFLINE) -q
 	$(CARGO) test $(OFFLINE) -q -p ewhoring-bench
 	$(CARGO) test $(OFFLINE) -q -p worldgen -p revsearch -p parkit
 	$(CARGO) test $(OFFLINE) -q -p ewhoring-core -p websim -p safety -p socgraph -p textkit -p linsvm -p crimebb -p synthrand
+	$(CARGO) test $(OFFLINE) -q -p imagesim -- --skip hash::tests::survives_compression_noise \
+		--skip hash::tests::survives_resize_almost_always
 
 # The criterion benches must at least compile, even where running them
 # would take too long — catches bench-only API drift.

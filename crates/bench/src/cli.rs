@@ -332,12 +332,7 @@ fn parse_report(args: &[String]) -> Result<ReportArgs, CliError> {
     if out.incremental && out.spec.epochs == 0 {
         return err("`--incremental` requires `--epochs K`");
     }
-    if out.spec.upto > 0 && out.spec.epochs == 0 {
-        return err("`--upto` requires `--epochs K`");
-    }
-    if out.spec.shards > 0 && out.spec.epochs > 0 {
-        return err("`--shards` is batch-only; it cannot be combined with `--epochs`");
-    }
+    out.spec.validate().map_err(CliError)?;
     if out.spec.shards > 0 && out.journal_dir.is_some() {
         return err("`--shards` cannot be combined with `--journal-dir` (sharded runs recompute)");
     }

@@ -131,10 +131,11 @@ fn u64_field(map: &serde::Map, name: &str, default: u64) -> Result<u64, String> 
 }
 
 /// Decodes a run spec from a `run` request; every field is optional and
-/// defaults match the batch CLI's defaults.
+/// defaults match the batch CLI's defaults. A spec that
+/// [`RunSpec::validate`] rejects is a decode error, as on the CLI.
 fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
     let defaults = RunSpec::default();
-    Ok(RunSpec {
+    let spec = RunSpec {
         scale: f64_field(map, "scale", defaults.scale)?,
         seed: u64_field(map, "seed", defaults.seed)?,
         workers: u64_field(map, "workers", defaults.workers as u64)? as usize,
@@ -143,7 +144,9 @@ fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
         epochs: u64_field(map, "epochs", defaults.epochs as u64)? as u32,
         upto: u64_field(map, "upto", defaults.upto as u64)? as u32,
         shards: u64_field(map, "shards", defaults.shards as u64)? as usize,
-    })
+    };
+    spec.validate()?;
+    Ok(spec)
 }
 
 /// A parsed response line, with typed accessors over the raw tree.
@@ -223,10 +226,28 @@ mod tests {
             corruption: 0.25,
             epochs: 4,
             upto: 3,
-            shards: 2,
+            shards: 0,
         };
         let line = Request::Run(spec).encode();
         assert_eq!(Request::decode(&line), Ok(Request::Run(spec)));
+        let sharded = RunSpec {
+            epochs: 0,
+            upto: 0,
+            shards: 2,
+            ..spec
+        };
+        let line = Request::Run(sharded).encode();
+        assert_eq!(Request::decode(&line), Ok(Request::Run(sharded)));
+    }
+
+    #[test]
+    fn run_requests_the_pipeline_cannot_run_are_rejected() {
+        let e = Request::decode(r#"{"cmd":"run","scale":0.02,"epochs":3,"shards":2}"#);
+        assert!(e.unwrap_err().contains("batch-only"));
+        let e = Request::decode(r#"{"cmd":"run","scale":0.02,"upto":2}"#);
+        assert!(e.unwrap_err().contains("requires `epochs`"));
+        let e = Request::decode(r#"{"cmd":"advance","scale":0.02,"epochs":3,"shards":2}"#);
+        assert!(e.unwrap_err().contains("batch-only"));
     }
 
     #[test]

@@ -391,3 +391,35 @@ fn oversize_and_non_utf8_lines_get_typed_errors() {
     assert!(down.is_ok());
     handle.join().expect("server thread exits");
 }
+
+/// A `run` whose spec the pipeline cannot execute (a sharded stream) is
+/// answered with a typed error on a one-worker pool, and that worker
+/// goes on to answer a plain `run` on a fresh connection.
+#[test]
+fn unrunnable_spec_gets_a_typed_error_and_the_pool_keeps_serving() {
+    let (_server, handle, addr) = start_server(1);
+
+    let mut wire = Wire::connect(&addr);
+    let bad =
+        wire.send_line(r#"{"cmd":"run","scale":0.01,"seed":5,"workers":1,"epochs":3,"shards":2}"#);
+    assert!(!bad.is_ok());
+    assert!(
+        bad.error_text().unwrap_or_default().contains("batch-only"),
+        "{:?}",
+        bad.error_text()
+    );
+    let no_stream = wire.send_line(r#"{"cmd":"run","scale":0.01,"seed":5,"upto":2}"#);
+    assert!(!no_stream.is_ok());
+    drop(wire);
+
+    let run = Wire::connect(&addr).call(&Request::Run(tiny(5)));
+    assert!(run.is_ok(), "{:?}", run.error_text());
+    assert_eq!(
+        run.str_field("run_key"),
+        Some(tiny(5).run_key().unwrap().as_str())
+    );
+
+    let down = Wire::connect(&addr).call(&Request::Shutdown);
+    assert!(down.is_ok());
+    handle.join().expect("server thread exits");
+}

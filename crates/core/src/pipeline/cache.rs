@@ -80,6 +80,25 @@ impl Default for RunSpec {
 }
 
 impl RunSpec {
+    /// Rejects knob combinations the pipeline cannot run: an `upto`
+    /// epoch without a streamed (`epochs > 0`) spec, and sharding a
+    /// streamed spec (sharded execution is batch-only). The batch CLI
+    /// and the wire decoder both call this, so neither can hand
+    /// [`Pipeline::run`] a spec it would refuse.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.upto > 0 && self.epochs == 0 {
+            return Err("`upto` requires `epochs` (`--upto` needs `--epochs K`)".to_string());
+        }
+        if self.shards > 0 && self.epochs > 0 {
+            return Err(
+                "`shards` is batch-only; it cannot be combined with `epochs` \
+                 (`--shards` with `--epochs`)"
+                    .to_string(),
+            );
+        }
+        Ok(())
+    }
+
     /// The world this spec measures. Domain and planted-image counts
     /// follow the batch CLI's long-standing scale formulas.
     pub fn world_config(&self) -> WorldConfig {

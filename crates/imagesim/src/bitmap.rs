@@ -1,6 +1,8 @@
 //! Small RGB rasters with the drawing and sampling primitives the
 //! generators and classifiers need.
 
+use rand::rngs::StdRng;
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Canonical render size. Large enough for 8×8 block hashing and glyph-row
@@ -78,6 +80,13 @@ impl Bitmap {
 
     /// Fills an ellipse centred at `(cx, cy)` with radii `(rx, ry)`.
     /// Used for heads/limbs/body masses in model-photo rendering.
+    ///
+    /// A pixel is inside when `dx² + dy² <= 1` with `dx = (x − cx)/rx`.
+    /// Each step of that f32 expression rounds monotonically, so along
+    /// one row the test is monotone in `|x − cx|`: the inside pixels of a
+    /// row form one run. A scan from each end of the clipped bounding
+    /// box finds the run's ends, and the run is filled without testing
+    /// the pixels between them.
     pub fn fill_ellipse(&mut self, cx: f32, cy: f32, rx: f32, ry: f32, color: [u8; 3]) {
         if rx <= 0.0 || ry <= 0.0 {
             return;
@@ -87,13 +96,18 @@ impl Bitmap {
         let y_lo = (cy - ry).floor().max(0.0) as usize;
         let y_hi = ((cy + ry).ceil() as usize).min(self.height.saturating_sub(1));
         for y in y_lo..=y_hi {
-            for x in x_lo..=x_hi {
+            let dy = (y as f32 - cy) / ry;
+            let dy2 = dy * dy;
+            let inside = |x: usize| {
                 let dx = (x as f32 - cx) / rx;
-                let dy = (y as f32 - cy) / ry;
-                if dx * dx + dy * dy <= 1.0 {
-                    self.px[y * self.width + x] = color;
-                }
-            }
+                dx * dx + dy2 <= 1.0
+            };
+            let Some(first) = (x_lo..=x_hi).find(|&x| inside(x)) else {
+                continue;
+            };
+            let last = (first..=x_hi).rev().find(|&x| inside(x)).unwrap_or(first);
+            let row = y * self.width;
+            self.px[row + first..=row + last].fill(color);
         }
     }
 
@@ -112,20 +126,21 @@ impl Bitmap {
 
     /// Multiplies every pixel by a per-column factor interpolated from
     /// `left` to `right` — directional lighting falloff. Factors are
-    /// clamped to `[0, 2]`. Pixels are independent, so the row-major walk
-    /// (with factors hoisted per column) produces exactly the same bytes
-    /// as a column-major one.
+    /// clamped to `[0, 2]`. Channels are independent, so the walk runs
+    /// over each row's flat bytes against a per-byte factor row (each
+    /// column's factor three times): the same bytes as a per-pixel walk,
+    /// in a loop without cross-lane state.
     pub fn shade_columns(&mut self, left: f32, right: f32) {
         let w = self.width;
         let factors: Vec<f32> = (0..w)
-            .map(|x| {
+            .flat_map(|x| {
                 let t = x as f32 / (w - 1).max(1) as f32;
-                (left + (right - left) * t).clamp(0.0, 2.0)
+                [(left + (right - left) * t).clamp(0.0, 2.0); 3]
             })
             .collect();
-        for row in self.px.chunks_exact_mut(w) {
-            for (p, &f) in row.iter_mut().zip(&factors) {
-                *p = [shade_u8(p[0], f), shade_u8(p[1], f), shade_u8(p[2], f)];
+        for row in self.px.as_flattened_mut().chunks_exact_mut(3 * w) {
+            for (c, &f) in row.iter_mut().zip(&factors) {
+                *c = shade_u8(*c, f);
             }
         }
     }
@@ -181,11 +196,45 @@ impl Bitmap {
     }
 
     /// Mutable raw pixel access for this crate's row-major hot loops
-    /// (speckle, shading, per-pixel transforms) — same raster, minus the
-    /// per-pixel index arithmetic and bounds checks of [`Bitmap::set`].
+    /// (per-pixel transforms) — same raster, minus the per-pixel index
+    /// arithmetic and bounds checks of [`Bitmap::set`].
     #[inline]
     pub(crate) fn pixels_mut(&mut self) -> &mut [[u8; 3]] {
         &mut self.px
+    }
+
+    /// Adds deterministic per-pixel jitter: one `gen_range(-A..=A)` draw
+    /// per pixel in row-major order, added to all three channels and
+    /// clamped. Every render ends with it, so images are textured rather
+    /// than flat (block hashing must tolerate this), and
+    /// [`crate::Transform::Noise`] uses it to approximate recompression.
+    ///
+    /// `A` is a const generic so that the draw's `%` reductions by the
+    /// span `2A + 1` compile to multiplies; the draws, and so the
+    /// pixels, are those of [`Bitmap::jitter_dyn`] with `amp = A`.
+    pub(crate) fn jitter<const A: i16>(&mut self, rng: &mut StdRng) {
+        self.jitter_dyn(rng, A);
+    }
+
+    /// [`Bitmap::jitter`] with an amplitude known only at run time; the
+    /// one jitter body, always inlined so a constant `amp` folds.
+    ///
+    /// It works in chunks of 64 pixels: one loop draws the chunk's deltas
+    /// in pixel order (each written once per channel byte), and one loop
+    /// adds them to the chunk's flat bytes with the clamp. The second
+    /// loop has no cross-lane state, so it vectorizes.
+    #[inline(always)]
+    pub(crate) fn jitter_dyn(&mut self, rng: &mut StdRng, amp: i16) {
+        const CHUNK: usize = 64;
+        let mut deltas = [0i16; 3 * CHUNK];
+        for chunk in self.px.chunks_mut(CHUNK) {
+            for (d, _) in deltas.chunks_exact_mut(3).zip(chunk.iter()) {
+                d.fill(rng.gen_range(-amp..=amp));
+            }
+            for (c, &d) in chunk.as_flattened_mut().iter_mut().zip(&deltas) {
+                *c = (*c as i16 + d).clamp(0, 255) as u8;
+            }
+        }
     }
 
     /// Makes `self` a copy of `other`, reusing this bitmap's allocation
@@ -278,19 +327,26 @@ pub(crate) fn lum(p: [u8; 3]) -> f32 {
 /// `roundf` call. For `v = c·f ≥ 0.5`, truncating `v + 0.5` equals
 /// round-half-away-from-zero: `v`'s ulp is at least 2⁻²⁴ there, so any
 /// rounding of the sum moves it by less than the distance to the next
-/// truncation boundary; the saturating float→int cast supplies the
-/// upper clamp. Below 0.5 the answer is 0, guarded explicitly because
-/// there `v + 0.5` can round up across 1.0 (e.g. `v = 0.5 − 2⁻²⁵`).
-/// The equivalence is proved against the original expression — every
-/// channel value × a dense factor sweep plus every tie neighbourhood —
-/// in `shade_u8_matches_round_clamp_exactly`.
+/// truncation boundary. The truncation takes no float→int cast (a
+/// saturating cast keeps the shading loop scalar): adding 2²³ to
+/// `y = v + 0.5 < 512` leaves the nearest integer to `y` in the low
+/// mantissa bits, minus one if that rounded up is `floor(y)`, and
+/// `min(255)` is the upper clamp. Below 0.5 the answer is 0, guarded
+/// explicitly because there `v + 0.5` can round up across 1.0 (e.g.
+/// `v = 0.5 − 2⁻²⁵`). The equivalence is proved against the original
+/// expression — every channel value × a dense factor sweep plus every
+/// tie neighbourhood — in `shade_u8_matches_round_clamp_exactly`.
 #[inline]
 fn shade_u8(c: u8, f: f32) -> u8 {
+    const MAGIC: f32 = 8_388_608.0; // 2²³
     let v = c as f32 * f;
+    let y = v + 0.5;
+    let m = y + MAGIC;
+    let floor = (m.to_bits() & 0x3FF) as i32 - (m - MAGIC > y) as i32;
     if v < 0.5 {
         0
     } else {
-        (v + 0.5) as u8
+        floor.min(255) as u8
     }
 }
 
@@ -304,6 +360,131 @@ fn lerp_u8(a: u8, b: u8, t: f32) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use rand::SeedableRng;
+
+    /// The per-pixel ellipse fill that the run fill replaced.
+    fn fill_ellipse_per_pixel(b: &mut Bitmap, cx: f32, cy: f32, rx: f32, ry: f32, c: [u8; 3]) {
+        if rx <= 0.0 || ry <= 0.0 {
+            return;
+        }
+        let x_lo = (cx - rx).floor().max(0.0) as usize;
+        let x_hi = ((cx + rx).ceil() as usize).min(b.width.saturating_sub(1));
+        let y_lo = (cy - ry).floor().max(0.0) as usize;
+        let y_hi = ((cy + ry).ceil() as usize).min(b.height.saturating_sub(1));
+        for y in y_lo..=y_hi {
+            for x in x_lo..=x_hi {
+                let dx = (x as f32 - cx) / rx;
+                let dy = (y as f32 - cy) / ry;
+                if dx * dx + dy * dy <= 1.0 {
+                    b.px[y * b.width + x] = c;
+                }
+            }
+        }
+    }
+
+    /// The per-pixel jitter body (the former `speckle` and `Noise` loops).
+    fn jitter_per_pixel(b: &mut Bitmap, rng: &mut StdRng, amp: i16) {
+        for y in 0..b.height {
+            for x in 0..b.width {
+                let d = rng.gen_range(-amp..=amp);
+                let adj = |c: u8| (c as i16 + d).clamp(0, 255) as u8;
+                let p = b.get(x, y);
+                b.set(x, y, [adj(p[0]), adj(p[1]), adj(p[2])]);
+            }
+        }
+    }
+
+    /// A bitmap of seeded random pixels.
+    fn noise_bitmap(rng: &mut StdRng, w: usize, h: usize) -> Bitmap {
+        let mut b = Bitmap::filled(w, h, [0; 3]);
+        for p in &mut b.px {
+            *p = [rng.gen(), rng.gen(), rng.gen()];
+        }
+        b
+    }
+
+    #[test]
+    fn ellipse_runs_match_the_per_pixel_fill() {
+        let mut rng = StdRng::seed_from_u64(0x0E11_195E);
+        for case in 0..20_000 {
+            let (w, h) = (rng.gen_range(1..80), rng.gen_range(1..80));
+            let mut cx: f32 = rng.gen_range(-20.0..100.0);
+            let mut cy: f32 = rng.gen_range(-20.0..100.0);
+            let mut rx: f32 = rng.gen_range(-1.0..40.0);
+            let mut ry: f32 = rng.gen_range(-1.0..40.0);
+            if case % 3 == 0 {
+                // Integer and half-integer geometry puts pixels exactly
+                // on the boundary.
+                (cx, cy) = ((cx * 2.0).round() / 2.0, (cy * 2.0).round() / 2.0);
+                (rx, ry) = ((rx * 2.0).round() / 2.0, (ry * 2.0).round() / 2.0);
+            }
+            let color = [case as u8, 7, 200];
+            let mut runs = Bitmap::filled(w, h, [9, 9, 9]);
+            let mut oracle = runs.clone();
+            runs.fill_ellipse(cx, cy, rx, ry, color);
+            fill_ellipse_per_pixel(&mut oracle, cx, cy, rx, ry, color);
+            assert_eq!(
+                runs, oracle,
+                "{w}x{h} centre ({cx}, {cy}) radii ({rx}, {ry})"
+            );
+        }
+    }
+
+    #[test]
+    fn const_jitter_matches_the_per_pixel_body() {
+        fn check<const A: i16>(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (w, h) = (rng.gen_range(1..70), rng.gen_range(1..70));
+            let base = noise_bitmap(&mut rng, w, h);
+            let (mut fast, mut slow) = (base.clone(), base);
+            let (mut r1, mut r2) = (rng.clone(), rng);
+            fast.jitter::<A>(&mut r1);
+            jitter_per_pixel(&mut slow, &mut r2, A);
+            assert_eq!(fast, slow, "A={A} seed={seed}");
+            assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "draw count, A={A}");
+            let mut dynamic = fast.clone();
+            let (mut r1, mut r2) = (r1.clone(), r1);
+            dynamic.jitter_dyn(&mut r1, A);
+            fast.jitter::<A>(&mut r2);
+            assert_eq!(dynamic, fast, "jitter_dyn A={A} seed={seed}");
+        }
+        for seed in 0..40 {
+            check::<1>(seed);
+            check::<2>(seed);
+            check::<3>(seed);
+            check::<4>(seed);
+            check::<5>(seed);
+            check::<6>(seed);
+            check::<7>(seed);
+            check::<8>(seed);
+            check::<9>(seed);
+            check::<12>(seed);
+        }
+    }
+
+    #[test]
+    fn flat_shading_matches_the_per_pixel_round_clamp() {
+        let mut rng = StdRng::seed_from_u64(0x5AADE);
+        for _ in 0..400 {
+            let (w, h) = (rng.gen_range(1..70), rng.gen_range(1..20));
+            let base = noise_bitmap(&mut rng, w, h);
+            let (left, right): (f32, f32) = (rng.gen_range(-0.5..2.5), rng.gen_range(-0.5..2.5));
+            let mut flat = base.clone();
+            flat.shade_columns(left, right);
+            let mut oracle = base;
+            for y in 0..h {
+                for x in 0..w {
+                    let t = x as f32 / (w - 1).max(1) as f32;
+                    let f = (left + (right - left) * t).clamp(0.0, 2.0);
+                    let sh = |c: u8| ((c as f32 * f).round().clamp(0.0, 255.0)) as u8;
+                    let p = oracle.get(x, y);
+                    oracle.set(x, y, [sh(p[0]), sh(p[1]), sh(p[2])]);
+                }
+            }
+            assert_eq!(flat, oracle, "{w}x{h} {left}..{right}");
+        }
+    }
 
     #[test]
     fn filled_canvas_is_uniform() {

@@ -13,13 +13,18 @@
 //! * Every hash cell (8×8 blocks, 9×8 and 8×9 gradient grids, 8×8 chroma
 //!   blocks) is a contiguous rectangle, and for rasters at least 9×9 the
 //!   cells of each plane partition the raster — no pixel is shared, no
-//!   pixel is dropped. A pixel's cell membership is a table lookup
-//!   ([`MeasureScratch`] keys the tables on the raster dimensions).
+//!   pixel is dropped. Each row is cut into segments at every column
+//!   bound of the three column partitions, so a segment lies in one cell
+//!   of each plane; its row's cells are found once per row
+//!   ([`MeasureScratch`] keys the bounds and segments on the raster
+//!   dimensions).
 //! * Within one cell, the global row-major walk visits pixels in exactly
 //!   the order the reference's per-rectangle `mean_luminance` loop does
-//!   (`y` outer, `x` inner), so the f32 partial sums see the same
-//!   additions in the same order and every intermediate rounding is
-//!   reproduced exactly.
+//!   (`y` outer, `x` inner). A segment adds its pixels in a register
+//!   that starts from the cell's running total and is stored back at
+//!   the segment's end, so the f32 partial sums see the same additions
+//!   in the same order and every intermediate rounding is reproduced
+//!   exactly.
 //! * The per-pixel arithmetic is shared, not duplicated: luminance is
 //!   [`crate::bitmap::lum`], digest mixing is [`crate::hash::Fnv`], skin
 //!   detection is [`crate::nsfw::is_skin`], ink-run extraction is
@@ -71,34 +76,30 @@ pub fn measure(bmp: &Bitmap) -> Measures {
     measure_with(bmp, &mut MeasureScratch::new())
 }
 
-/// Reusable per-worker state for [`measure_with`]: cell-membership lookup
-/// tables keyed on the raster dimensions, plus the row-luminance and
-/// ink-run buffers. Rebuilt only when the dimensions change, so a worker
-/// measuring a stream of same-sized renders allocates nothing per image.
+/// Reusable per-worker state for [`measure_with`]: the cell bounds of
+/// each hash plane, keyed on the raster dimensions, plus the
+/// row-luminance and ink-run buffers. Rebuilt only when the dimensions
+/// change, so a worker measuring a stream of same-sized renders
+/// allocates nothing per image.
 #[derive(Debug, Clone)]
 pub struct MeasureScratch {
-    /// Dimensions the tables below were built for.
+    /// Dimensions the bounds below were built for.
     dims: (usize, usize),
-    /// `x` → 8×8 block column (`div_ceil` blocks, trailing ones may be empty).
-    blk_col: Vec<u8>,
-    /// `y` → 8×8 block row.
-    blk_row: Vec<u8>,
-    /// `x` → dhash column band (9 floor-division bands).
-    d9_col: Vec<u8>,
-    /// `y` → dhash row band (8 bands).
-    d8_row: Vec<u8>,
-    /// `x` → vdhash column band (8 bands).
-    v8_col: Vec<u8>,
-    /// `y` → vdhash row band (9 bands).
-    v9_row: Vec<u8>,
-    /// Per-band extents — the reference's mean divisors.
-    blk_wx: [usize; 8],
-    blk_hy: [usize; 8],
-    d9_wx: [usize; 9],
-    d8_hy: [usize; 8],
-    v8_wx: [usize; 8],
-    v9_hy: [usize; 9],
-    /// One row of luminances, shared by the hash planes and run extraction.
+    /// Cell `i` of an axis spans `b[i]..b[i + 1]`. The 8×8 hash blocks
+    /// are `div_ceil(n, 8)` wide, so trailing ones can be empty.
+    blk_x: [usize; 9],
+    blk_y: [usize; 9],
+    /// dhash bands: 9 floor-division columns, 8 rows.
+    d9_x: [usize; 10],
+    d8_y: [usize; 9],
+    /// vdhash bands: 8 floor-division columns, 9 rows.
+    v8_x: [usize; 9],
+    v9_y: [usize; 10],
+    /// The row cut at every column bound of the three column partitions:
+    /// each segment lies in one luma/chroma block, one dhash band and one
+    /// vdhash band.
+    segs: Vec<Seg>,
+    /// The current row's luminances, for the ink-run extraction.
     row_lum: Vec<f32>,
     /// Ink runs accumulated across the pass, fed to `count_words`.
     runs: Vec<Run>,
@@ -115,18 +116,13 @@ impl MeasureScratch {
     pub fn new() -> MeasureScratch {
         MeasureScratch {
             dims: (0, 0),
-            blk_col: Vec::new(),
-            blk_row: Vec::new(),
-            d9_col: Vec::new(),
-            d8_row: Vec::new(),
-            v8_col: Vec::new(),
-            v9_row: Vec::new(),
-            blk_wx: [0; 8],
-            blk_hy: [0; 8],
-            d9_wx: [0; 9],
-            d8_hy: [0; 8],
-            v8_wx: [0; 8],
-            v9_hy: [0; 9],
+            blk_x: [0; 9],
+            blk_y: [0; 9],
+            d9_x: [0; 10],
+            d8_y: [0; 9],
+            v8_x: [0; 9],
+            v9_y: [0; 10],
+            segs: Vec::new(),
             row_lum: Vec::new(),
             runs: Vec::new(),
         }
@@ -137,58 +133,72 @@ impl MeasureScratch {
             return;
         }
         self.dims = (w, h);
-        fill_blocks(w, &mut self.blk_col, &mut self.blk_wx);
-        fill_blocks(h, &mut self.blk_row, &mut self.blk_hy);
-        fill_bands(w, &mut self.d9_col, &mut self.d9_wx);
-        fill_bands(h, &mut self.d8_row, &mut self.d8_hy);
-        fill_bands(w, &mut self.v8_col, &mut self.v8_wx);
-        fill_bands(h, &mut self.v9_row, &mut self.v9_hy);
+        self.blk_x = block_bounds(w);
+        self.blk_y = block_bounds(h);
+        self.d9_x = band_bounds(w);
+        self.d8_y = band_bounds(h);
+        self.v8_x = band_bounds(w);
+        self.v9_y = band_bounds(h);
+        let mut cuts: Vec<usize> = [&self.blk_x[..], &self.d9_x, &self.v8_x].concat();
+        cuts.sort_unstable();
+        cuts.dedup();
+        self.segs.clear();
+        self.segs.extend(cuts.windows(2).map(|c| Seg {
+            x0: c[0],
+            x1: c[1],
+            blk: cell_of(&self.blk_x, c[0]),
+            d: cell_of(&self.d9_x, c[0]),
+            v: cell_of(&self.v8_x, c[0]),
+        }));
         self.row_lum.clear();
         self.row_lum.resize(w, 0.0);
     }
 }
 
-/// Membership table for the 8 `div_ceil(n, 8)`-sized hash blocks along one
-/// axis. Trailing blocks can be empty (extent 0) when `n` is not a
-/// multiple of 8 — the reference leaves their means at 0.0 and so does the
-/// finisher in [`measure_with`].
-fn fill_blocks(n: usize, table: &mut Vec<u8>, extents: &mut [usize; 8]) {
-    let bs = n.div_ceil(8);
-    table.clear();
-    table.resize(n, 0);
-    for (b, extent) in extents.iter_mut().enumerate() {
-        let lo = (b * bs).min(n);
-        let hi = ((b + 1) * bs).min(n);
-        *extent = hi - lo;
-        for t in &mut table[lo..hi] {
-            *t = b as u8;
-        }
-    }
+/// A run of columns `x0..x1` inside one cell of every column partition.
+#[derive(Debug, Clone, Copy)]
+struct Seg {
+    x0: usize,
+    x1: usize,
+    /// The luma/chroma block column, dhash band and vdhash band.
+    blk: usize,
+    d: usize,
+    v: usize,
 }
 
-/// Membership table for the `K` floor-division gradient bands
-/// `[g*n/K, (g+1)*n/K)` along one axis. For `n >= K` every band is
-/// non-empty and the bands partition `[0, n)`.
-fn fill_bands<const K: usize>(n: usize, table: &mut Vec<u8>, extents: &mut [usize; K]) {
-    table.clear();
-    table.resize(n, 0);
-    for (g, extent) in extents.iter_mut().enumerate() {
-        let lo = g * n / K;
-        let hi = (g + 1) * n / K;
-        *extent = hi - lo;
-        for t in &mut table[lo..hi] {
-            *t = g as u8;
-        }
-    }
+/// Bounds of the 8 `div_ceil(n, 8)`-sized hash blocks along one axis.
+/// Trailing blocks can be empty when `n` is not a multiple of 8 — the
+/// reference leaves their means at 0.0 and so does the finisher in
+/// [`HashSums::finish`].
+fn block_bounds(n: usize) -> [usize; 9] {
+    let bs = n.div_ceil(8);
+    std::array::from_fn(|b| (b * bs).min(n))
+}
+
+/// Bounds of the `N - 1` floor-division gradient bands
+/// `[g*n/K, (g+1)*n/K)` along one axis, `K = N - 1`. For `n >= K` every
+/// band is non-empty and the bands partition `[0, n)`.
+fn band_bounds<const N: usize>(n: usize) -> [usize; N] {
+    std::array::from_fn(|g| g * n / (N - 1))
+}
+
+/// The cell of an axis that holds coordinate `i`: the last cell
+/// starting at or before it (empty cells are skipped).
+fn cell_of(bounds: &[usize], i: usize) -> usize {
+    bounds[1..bounds.len() - 1].partition_point(|&b| b <= i)
+}
+
+/// Extent of cell `i`.
+fn extent(bounds: &[usize], i: usize) -> usize {
+    bounds[i + 1] - bounds[i]
 }
 
 /// Per-cell sums of the four hash planes — 8×8 luma blocks, 8×8 chroma
-/// blocks, the 9×8 and 8×9 gradient cells — accumulated pixel by pixel in
-/// row-major order. The one pass behind both [`measure_with`] and
-/// [`RobustHash::of`].
+/// blocks, the 9×8 and 8×9 gradient cells — accumulated row by row. The
+/// one pass behind both [`measure_with`] and [`RobustHash::of`].
 struct HashSums {
-    luma: [f32; 64],
-    chroma: [f32; 64],
+    luma: [[f32; 8]; 8],
+    chroma: [[f32; 8]; 8],
     d: [[f32; 9]; 8],
     v: [[f32; 8]; 9],
 }
@@ -196,33 +206,51 @@ struct HashSums {
 impl HashSums {
     fn new() -> HashSums {
         HashSums {
-            luma: [0.0; 64],
-            chroma: [0.0; 64],
+            luma: [[0.0; 8]; 8],
+            chroma: [[0.0; 8]; 8],
             d: [[0.0; 9]; 8],
             v: [[0.0; 8]; 9],
         }
     }
 
-    /// Adds row `y`, whose luminances `s.row_lum` already holds, and hands
-    /// each pixel in order to `each` for the caller's own per-pixel work.
+    /// Adds row `y` and hands each pixel in order to `each` for the
+    /// caller's own per-pixel work. Leaves the row's luminances in
+    /// `s.row_lum` for the ink-run extraction.
+    ///
+    /// The row is walked segment by segment ([`MeasureScratch::segs`]).
+    /// Each segment sums its pixels into four registers, one per plane,
+    /// each starting from its cell's running total: the same f32 adds in
+    /// the same order as adding pixel by pixel into the cell tables, with
+    /// no memory round trip per add. `each` and the luminance run in the
+    /// same loop, so their work overlaps the add chains (and, in
+    /// [`measure_with`], the digest's serial multiply chain).
     #[inline(always)]
     fn add_row(
         &mut self,
-        s: &MeasureScratch,
+        s: &mut MeasureScratch,
         y: usize,
         row: &[[u8; 3]],
         mut each: impl FnMut([u8; 3]),
     ) {
-        let by8 = s.blk_row[y] as usize * 8;
-        let drow = &mut self.d[s.d8_row[y] as usize];
-        let vrow = &mut self.v[s.v9_row[y] as usize];
-        for (x, (&p, &l)) in row.iter().zip(&s.row_lum).enumerate() {
-            each(p);
-            let blk = by8 + s.blk_col[x] as usize;
-            self.luma[blk] += l;
-            self.chroma[blk] += p[0] as f32 - p[2] as f32;
-            drow[s.d9_col[x] as usize] += l;
-            vrow[s.v8_col[x] as usize] += l;
+        let luma = &mut self.luma[cell_of(&s.blk_y, y)];
+        let chroma = &mut self.chroma[cell_of(&s.blk_y, y)];
+        let d = &mut self.d[cell_of(&s.d8_y, y)];
+        let v = &mut self.v[cell_of(&s.v9_y, y)];
+        for seg in &s.segs {
+            let (mut la, mut ca) = (luma[seg.blk], chroma[seg.blk]);
+            let (mut da, mut va) = (d[seg.d], v[seg.v]);
+            let lums = &mut s.row_lum[seg.x0..seg.x1];
+            for (&p, l_out) in row[seg.x0..seg.x1].iter().zip(lums) {
+                each(p);
+                let l = lum(p);
+                *l_out = l;
+                la += l;
+                ca += p[0] as f32 - p[2] as f32;
+                da += l;
+                va += l;
+            }
+            (luma[seg.blk], chroma[seg.blk]) = (la, ca);
+            (d[seg.d], v[seg.v]) = (da, va);
         }
     }
 
@@ -233,23 +261,23 @@ impl HashSums {
         let mut chroma_means = [0.0f32; 64];
         for by in 0..8 {
             for bx in 0..8 {
-                let cnt = s.blk_wx[bx] * s.blk_hy[by];
+                let cnt = extent(&s.blk_x, bx) * extent(&s.blk_y, by);
                 if cnt > 0 {
-                    luma_means[by * 8 + bx] = self.luma[by * 8 + bx] / cnt as f32;
-                    chroma_means[by * 8 + bx] = self.chroma[by * 8 + bx] / cnt as f32;
+                    luma_means[by * 8 + bx] = self.luma[by][bx] / cnt as f32;
+                    chroma_means[by * 8 + bx] = self.chroma[by][bx] / cnt as f32;
                 }
             }
         }
         let mut dcells = [[0.0f32; 9]; 8];
         for (gy, row) in dcells.iter_mut().enumerate() {
             for (gx, cell) in row.iter_mut().enumerate() {
-                *cell = self.d[gy][gx] / (s.d9_wx[gx] * s.d8_hy[gy]) as f32;
+                *cell = self.d[gy][gx] / (extent(&s.d9_x, gx) * extent(&s.d8_y, gy)) as f32;
             }
         }
         let mut vcells = [[0.0f32; 8]; 9];
         for (gy, row) in vcells.iter_mut().enumerate() {
             for (gx, cell) in row.iter_mut().enumerate() {
-                *cell = self.v[gy][gx] / (s.v8_wx[gx] * s.v9_hy[gy]) as f32;
+                *cell = self.v[gy][gx] / (extent(&s.v8_x, gx) * extent(&s.v9_y, gy)) as f32;
             }
         }
         RobustHash {
@@ -263,15 +291,6 @@ impl HashSums {
     }
 }
 
-/// Fills `s.row_lum` with the luminances of `row`. A pure elementwise map
-/// with no cross-lane state — the compiler auto-vectorizes it, and f32
-/// results are position-independent so vectorization cannot perturb them.
-fn row_luminances(s: &mut MeasureScratch, row: &[[u8; 3]]) {
-    for (l, &p) in s.row_lum.iter_mut().zip(row) {
-        *l = lum(p);
-    }
-}
-
 /// The robust hash in one pass over the rows (see the module docs for why
 /// it equals [`hash::per_rect`]); [`RobustHash::of`] is this.
 pub(crate) fn robust_hash(bmp: &Bitmap) -> RobustHash {
@@ -280,14 +299,18 @@ pub(crate) fn robust_hash(bmp: &Bitmap) -> RobustHash {
         return hash::per_rect(bmp);
     }
     let mut scratch = MeasureScratch::new();
-    scratch.prepare(w, h);
+    hash_sums(bmp, &mut scratch).finish(&scratch)
+}
+
+/// The hash planes' cell sums of a raster at least 9×9.
+fn hash_sums(bmp: &Bitmap, scratch: &mut MeasureScratch) -> HashSums {
+    scratch.prepare(bmp.width(), bmp.height());
     let mut sums = HashSums::new();
-    for y in 0..h {
+    for y in 0..bmp.height() {
         let row = bmp.row(y);
-        row_luminances(&mut scratch, row);
-        sums.add_row(&scratch, y, row, |_| {});
+        sums.add_row(scratch, y, row, |_| {});
     }
-    sums.finish(&scratch)
+    sums
 }
 
 /// Measures an image in a single pass over its rows, reusing `scratch`.
@@ -307,14 +330,11 @@ pub fn measure_with(bmp: &Bitmap, scratch: &mut MeasureScratch) -> Measures {
 
     for y in 0..h {
         let row = bmp.row(y);
-        row_luminances(scratch, row);
         sums.add_row(scratch, y, row, |p| {
             digest.mix(p[0]);
             digest.mix(p[1]);
             digest.mix(p[2]);
-            if is_skin(p) {
-                skin_hits += 1;
-            }
+            skin_hits += is_skin(p) as usize;
         });
         ocr::row_runs_into(y, &scratch.row_lum, &mut scratch.runs);
     }
@@ -383,6 +403,68 @@ mod tests {
         ]
     }
 
+    /// The per-pixel walk that the run sums replaced: each pixel's cells
+    /// come from per-coordinate tables built from the reference's cell
+    /// formulas, and each pixel is added into the cell tables in place.
+    fn per_pixel_sums(bmp: &Bitmap) -> HashSums {
+        let (w, h) = (bmp.width(), bmp.height());
+        let blocks = |n: usize| -> Vec<usize> { (0..n).map(|i| i / n.div_ceil(8)).collect() };
+        let bands = |n: usize, k: usize| -> Vec<usize> {
+            (0..n)
+                .map(|i| (0..k).find(|&g| i < (g + 1) * n / k).expect("in range"))
+                .collect()
+        };
+        let (blk_col, blk_row) = (blocks(w), blocks(h));
+        let (d9_col, d8_row) = (bands(w, 9), bands(h, 8));
+        let (v8_col, v9_row) = (bands(w, 8), bands(h, 9));
+        let mut sums = HashSums::new();
+        for y in 0..h {
+            for x in 0..w {
+                let p = bmp.get(x, y);
+                let l = lum(p);
+                sums.luma[blk_row[y]][blk_col[x]] += l;
+                sums.chroma[blk_row[y]][blk_col[x]] += p[0] as f32 - p[2] as f32;
+                sums.d[d8_row[y]][d9_col[x]] += l;
+                sums.v[v9_row[y]][v8_col[x]] += l;
+            }
+        }
+        sums
+    }
+
+    fn sum_bits(s: &HashSums) -> Vec<u32> {
+        let planes = [s.luma.as_flattened(), s.chroma.as_flattened()];
+        let grads = [s.d.as_flattened(), s.v.as_flattened()];
+        planes
+            .iter()
+            .chain(&grads)
+            .flat_map(|p| p.iter().map(|f| f.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn run_sums_match_the_per_pixel_walk() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5EED_5A35);
+        let mut scratch = MeasureScratch::new();
+        let classes = all_classes();
+        let transforms = all_transforms();
+        for case in 0..600 {
+            let class = classes[case % classes.len()];
+            let spec = if class.is_model() {
+                ImageSpec::model_photo(class, rng.gen_range(1..999), rng.gen())
+            } else {
+                ImageSpec::of(class, rng.gen())
+            };
+            let mut bmp = transforms[case % transforms.len()].apply(&spec.render());
+            if case % 2 == 1 {
+                bmp = bmp.resize(rng.gen_range(9..90), rng.gen_range(9..90));
+            }
+            let fused = hash_sums(&bmp, &mut scratch);
+            let ctx = format!("{class:?} {}x{}", bmp.width(), bmp.height());
+            assert_eq!(sum_bits(&fused), sum_bits(&per_pixel_sums(&bmp)), "{ctx}");
+        }
+    }
+
     #[test]
     fn fused_matches_reference_for_every_class_and_transform() {
         // One scratch across the whole matrix: reuse must not leak state
@@ -435,7 +517,7 @@ mod tests {
     fn fused_handles_non_canonical_and_awkward_sizes() {
         // Sizes that exercise empty trailing blocks (w % 8 != 0, small w)
         // and uneven gradient bands, interleaved so the scratch rebuilds
-        // its tables between dimension changes.
+        // its bounds between dimension changes.
         let base = ImageSpec::model_photo(ImageClass::ModelNude, 3, 9).render();
         let mut scratch = MeasureScratch::new();
         for (w, h) in [(9, 9), (48, 48), (10, 13), (64, 9), (9, 64), (17, 23)] {
@@ -468,9 +550,9 @@ mod tests {
         let a = Bitmap::filled(32, 16, [120, 80, 60]);
         measure_with(&a, &mut scratch);
         assert_eq!(scratch.dims, (32, 16));
-        let col_ptr = scratch.blk_col.as_ptr();
+        let segs_ptr = scratch.segs.as_ptr();
         measure_with(&a, &mut scratch);
-        assert_eq!(scratch.blk_col.as_ptr(), col_ptr, "no rebuild on same dims");
+        assert_eq!(scratch.segs.as_ptr(), segs_ptr, "no rebuild on same dims");
         let b = Bitmap::filled(16, 32, [10, 20, 30]);
         measure_with(&b, &mut scratch);
         assert_eq!(scratch.dims, (16, 32));

@@ -18,18 +18,47 @@ use crate::bitmap::Bitmap;
 
 /// Skin-tone predicate over RGB. Matches the warm high-red band used by the
 /// generators plus a tolerance, wide enough to also catch beach sand — a
-/// deliberate property (see module docs).
+/// deliberate property (see module docs):
+///
+/// `r > 170`, `r·55/100 < g < r·92/100`, `r·38/100 < b < r·78/100` and
+/// `r − b > 40`, in integer arithmetic.
+///
+/// For each `r` the accepted `g` and `b` values are one range each, read
+/// from a static table: the test is two unsigned range checks joined by
+/// a non-short-circuit `&`, with no branch. `skin_ranges_match_the_bounds`
+/// checks it against the `&&` chain above for all 2²⁴ colours.
 #[inline]
 pub fn is_skin(p: [u8; 3]) -> bool {
     let [r, g, b] = p;
-    let (r, g, b) = (r as i32, g as i32, b as i32);
-    r > 170
-        && g > r * 55 / 100
-        && g < r * 92 / 100
-        && b > r * 38 / 100
-        && b < r * 78 / 100
-        && r - b > 40
+    let [g0, g_len, b0, b_len] = SKIN_RANGES[r as usize];
+    (g.wrapping_sub(g0) < g_len) & (b.wrapping_sub(b0) < b_len)
 }
+
+/// `SKIN_RANGES[r] = [g0, g_len, b0, b_len]`: the skin pixels of red `r`
+/// are those with `g0 <= g < g0 + g_len` and `b0 <= b < b0 + b_len`.
+/// Lengths are 0 for `r <= 170`. Every range ends at or below 256, so a
+/// `g < g0` wraps to at least `256 - g0 >= g_len` and fails the check.
+static SKIN_RANGES: [[u8; 4]; 256] = {
+    let mut t = [[0u8; 4]; 256];
+    let mut r = 171;
+    while r < 256 {
+        let (g0, g_end) = (r * 55 / 100 + 1, r * 92 / 100);
+        let b0 = r * 38 / 100 + 1;
+        let b_end = if r * 78 / 100 < r - 40 {
+            r * 78 / 100
+        } else {
+            r - 40
+        };
+        t[r] = [
+            g0 as u8,
+            g_end.saturating_sub(g0) as u8,
+            b0 as u8,
+            b_end.saturating_sub(b0) as u8,
+        ];
+        r += 1;
+    }
+    t
+};
 
 /// Fraction of skin pixels in the bitmap.
 pub fn skin_fraction(bmp: &Bitmap) -> f64 {
@@ -131,6 +160,30 @@ mod tests {
             (5..=25).contains(&above),
             "{above}/60 landscapes above 0.01"
         );
+    }
+
+    /// The `&&` chain over `i32` arithmetic that the range table encodes.
+    fn is_skin_chain(p: [u8; 3]) -> bool {
+        let [r, g, b] = p;
+        let (r, g, b) = (r as i32, g as i32, b as i32);
+        r > 170
+            && g > r * 55 / 100
+            && g < r * 92 / 100
+            && b > r * 38 / 100
+            && b < r * 78 / 100
+            && r - b > 40
+    }
+
+    #[test]
+    fn skin_ranges_match_the_bounds() {
+        for r in 0..=255u8 {
+            for g in 0..=255u8 {
+                for b in 0..=255u8 {
+                    let p = [r, g, b];
+                    assert_eq!(is_skin(p), is_skin_chain(p), "{p:?}");
+                }
+            }
+        }
     }
 
     #[test]

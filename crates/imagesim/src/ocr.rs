@@ -28,21 +28,51 @@ pub(crate) struct Run {
 }
 
 /// Appends this row's ink runs (luminance below [`INK_THRESHOLD`]) to
-/// `runs`, given the row's already-computed per-pixel luminances. Each
-/// pixel's luminance is evaluated exactly once by the caller — the old
-/// extraction loop recomputed `bmp.luminance` in both its `if` and its
-/// inner `while`, scanning every ink pixel twice.
+/// `runs`, given the row's already-computed per-pixel luminances.
+///
+/// The row is read 64 pixels at a time into an ink bit mask, with no
+/// branch per pixel; runs are then read off the mask with
+/// `trailing_zeros`, one step per run edge. A run that reaches the end
+/// of a word stays open into the next. The per-pixel edge walk this
+/// replaces stays in the tests as its oracle.
 #[inline]
 pub(crate) fn row_runs_into(y: usize, row_lum: &[f32], runs: &mut Vec<Run>) {
-    let mut start: Option<usize> = None;
-    for (x, &l) in row_lum.iter().enumerate() {
-        if l < INK_THRESHOLD {
-            start.get_or_insert(x);
-        } else if let Some(x0) = start.take() {
-            runs.push(Run { y, x0, x1: x - 1 });
+    let mut open: Option<usize> = None;
+    for (word, lums) in row_lum.chunks(64).enumerate() {
+        let base = word * 64;
+        let ink = lums
+            .iter()
+            .enumerate()
+            .fold(0u64, |m, (i, &l)| m | (((l < INK_THRESHOLD) as u64) << i));
+        let gaps = !ink & (u64::MAX >> (64 - lums.len()));
+        let mut from = 0;
+        loop {
+            let x0 = match open {
+                Some(x0) => x0,
+                None => {
+                    let rest = ink & (u64::MAX << from);
+                    if rest == 0 {
+                        break;
+                    }
+                    from = rest.trailing_zeros();
+                    base + from as usize
+                }
+            };
+            let rest = gaps & (u64::MAX << from);
+            if rest == 0 {
+                open = Some(x0);
+                break;
+            }
+            from = rest.trailing_zeros();
+            runs.push(Run {
+                y,
+                x0,
+                x1: base + from as usize - 1,
+            });
+            open = None;
         }
     }
-    if let Some(x0) = start {
+    if let Some(x0) = open {
         runs.push(Run {
             y,
             x0,
@@ -163,6 +193,48 @@ pub fn ocr_word_count(bmp: &Bitmap) -> usize {
 mod tests {
     use super::*;
     use crate::spec::{ImageClass, ImageSpec, PaymentPlatform};
+
+    /// The per-pixel edge walk that the mask extraction replaced.
+    fn row_runs_per_pixel(y: usize, row_lum: &[f32], runs: &mut Vec<Run>) {
+        let mut start: Option<usize> = None;
+        for (x, &l) in row_lum.iter().enumerate() {
+            if l < INK_THRESHOLD {
+                start.get_or_insert(x);
+            } else if let Some(x0) = start.take() {
+                runs.push(Run { y, x0, x1: x - 1 });
+            }
+        }
+        if let Some(x0) = start {
+            runs.push(Run {
+                y,
+                x0,
+                x1: row_lum.len() - 1,
+            });
+        }
+    }
+
+    #[test]
+    fn mask_runs_match_the_per_pixel_walk() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1A7);
+        for case in 0..5_000 {
+            let n = rng.gen_range(1..200);
+            // Ink densities from none to all, plus values on the threshold.
+            let p_ink: f64 = rng.gen_range(0.0..1.0);
+            let row: Vec<f32> = (0..n)
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => INK_THRESHOLD,
+                    _ if rng.gen_bool(p_ink) => rng.gen_range(0.0..INK_THRESHOLD),
+                    _ => rng.gen_range(INK_THRESHOLD..255.0),
+                })
+                .collect();
+            let (mut mask, mut walk) = (vec![Run { y: 0, x0: 0, x1: 0 }], Vec::new());
+            walk.push(mask[0]);
+            row_runs_into(case, &row, &mut mask);
+            row_runs_per_pixel(case, &row, &mut walk);
+            assert_eq!(mask, walk, "width {n}");
+        }
+    }
 
     fn words_of(class: ImageClass, model: u32, variant: u64) -> usize {
         let spec = if class.is_model() {

@@ -296,7 +296,7 @@ fn render_model(bmp: &mut Bitmap, rng: &mut StdRng, model: u32, coverage: Covera
     } else {
         bmp.shade_columns(1.0, shade);
     }
-    speckle(bmp, rng, 5);
+    bmp.jitter::<5>(rng);
 }
 
 /// Draws glyph-like word runs: dark 2-px-tall dashes on the given rows.
@@ -341,7 +341,7 @@ fn render_payment(bmp: &mut Bitmap, rng: &mut StdRng, platform: PaymentPlatform)
     if rng.gen_bool(0.3) {
         bmp.fill_ellipse(56.0, 4.0, 3.0, 3.0, skin_tone(rng.gen_range(1..1000)));
     }
-    speckle(bmp, rng, 2);
+    bmp.jitter::<2>(rng);
 }
 
 fn render_chat(bmp: &mut Bitmap, rng: &mut StdRng) {
@@ -367,7 +367,7 @@ fn render_chat(bmp: &mut Bitmap, rng: &mut StdRng) {
         bmp.fill_ellipse(avx, (y + 4) as f32, 2.5, 2.5, av_color);
         y += 12 + rng.gen_range(0..3);
     }
-    speckle(bmp, rng, 2);
+    bmp.jitter::<2>(rng);
 }
 
 fn render_directory(bmp: &mut Bitmap, rng: &mut StdRng) {
@@ -393,7 +393,7 @@ fn render_directory(bmp: &mut Bitmap, rng: &mut StdRng) {
             draw_text_rows(bmp, rng, x0, x0 + 12, y0 + 10, 1, 4, [40, 40, 45]);
         }
     }
-    speckle(bmp, rng, 3);
+    bmp.jitter::<3>(rng);
 }
 
 fn render_error(bmp: &mut Bitmap, rng: &mut StdRng) {
@@ -431,7 +431,7 @@ fn render_landscape(bmp: &mut Bitmap, rng: &mut StdRng) {
     } else {
         bmp.shade_columns(1.0, shade);
     }
-    speckle(bmp, rng, 6);
+    bmp.jitter::<6>(rng);
 }
 
 fn render_portrait(bmp: &mut Bitmap, rng: &mut StdRng) {
@@ -466,13 +466,13 @@ fn render_portrait(bmp: &mut Bitmap, rng: &mut StdRng) {
     } else {
         bmp.shade_columns(1.0, shade);
     }
-    speckle(bmp, rng, 4);
+    bmp.jitter::<4>(rng);
 }
 
 fn render_document(bmp: &mut Bitmap, rng: &mut StdRng) {
     bmp.reset(SIZE, SIZE, [252, 252, 252]);
     draw_text_rows(bmp, rng, 4, 60, 6, 10, 6, [30, 30, 30]);
-    speckle(bmp, rng, 1);
+    bmp.jitter::<1>(rng);
 }
 
 fn render_meme(bmp: &mut Bitmap, rng: &mut StdRng) {
@@ -493,22 +493,7 @@ fn render_meme(bmp: &mut Bitmap, rng: &mut StdRng) {
     // Caption rows top and bottom.
     draw_text_rows(bmp, rng, 6, 58, 3, 1, 6, [10, 10, 10]);
     draw_text_rows(bmp, rng, 6, 58, 56, 1, 6, [10, 10, 10]);
-    speckle(bmp, rng, 4);
-}
-
-/// Adds deterministic per-pixel jitter so images are textured rather than
-/// flat (block hashing must tolerate this).
-fn speckle(bmp: &mut Bitmap, rng: &mut StdRng, amplitude: i16) {
-    if amplitude == 0 {
-        return;
-    }
-    // Pixel storage is row-major, so this flat walk draws from the RNG in
-    // exactly the per-(y, x) order the nested loops did.
-    for p in bmp.pixels_mut() {
-        let d = rng.gen_range(-amplitude..=amplitude);
-        let adj = |c: u8| (c as i16 + d).clamp(0, 255) as u8;
-        *p = [adj(p[0]), adj(p[1]), adj(p[2])];
-    }
+    bmp.jitter::<4>(rng);
 }
 
 #[cfg(test)]

@@ -114,15 +114,19 @@ fn brightness(bmp: &mut Bitmap, delta: i16) {
     }
 }
 
+/// Jitter at the transform's amplitude. Generated worlds draw
+/// amplitudes in `4..10`; each of those runs the const-amplitude body,
+/// and any other amplitude the run-time one — the same draws either way.
 fn noise(bmp: &mut Bitmap, amplitude: i16, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x4E01_5E00);
-    let amp = amplitude.max(1);
-    // Row-major flat walk: identical RNG draw order to the nested (y, x)
-    // loops this replaces.
-    for p in bmp.pixels_mut() {
-        let d = rng.gen_range(-amp..=amp);
-        let adj = |c: u8| (c as i16 + d).clamp(0, 255) as u8;
-        *p = [adj(p[0]), adj(p[1]), adj(p[2])];
+    match amplitude.max(1) {
+        4 => bmp.jitter::<4>(&mut rng),
+        5 => bmp.jitter::<5>(&mut rng),
+        6 => bmp.jitter::<6>(&mut rng),
+        7 => bmp.jitter::<7>(&mut rng),
+        8 => bmp.jitter::<8>(&mut rng),
+        9 => bmp.jitter::<9>(&mut rng),
+        amp => bmp.jitter_dyn(&mut rng, amp),
     }
 }
 
@@ -249,6 +253,33 @@ mod tests {
             work.clone_from(&b);
             t.apply_into(&mut work, &mut tmp);
             assert_eq!(work, t.apply(&b), "{t:?}");
+        }
+    }
+
+    #[test]
+    fn noise_matches_the_per_pixel_body_at_every_amplitude() {
+        let bases = [
+            sample(),
+            ImageSpec::of(ImageClass::Document, 3).render(),
+            ImageSpec::of(ImageClass::Landscape, 8).render(),
+        ];
+        for amplitude in -2..=14i16 {
+            for seed in 0..6u64 {
+                let base = &bases[seed as usize % bases.len()];
+                let mut oracle = base.clone();
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x4E01_5E00);
+                let amp = amplitude.max(1);
+                for y in 0..oracle.height() {
+                    for x in 0..oracle.width() {
+                        let d = rng.gen_range(-amp..=amp);
+                        let adj = |c: u8| (c as i16 + d).clamp(0, 255) as u8;
+                        let p = oracle.get(x, y);
+                        oracle.set(x, y, [adj(p[0]), adj(p[1]), adj(p[2])]);
+                    }
+                }
+                let t = Transform::Noise { amplitude, seed };
+                assert_eq!(t.apply(base), oracle, "{t:?}");
+            }
         }
     }
 
