@@ -151,7 +151,8 @@ bench-shard:
 
 # Sharding smoke test wired into `make verify`: a sharded CLI run must
 # produce a byte-identical snapshot to the unsharded run of the same
-# (scale, seed), and a run with a poisoned shard (every attempt fails)
+# (scale, seed), and so must a journaled sharded run killed after four
+# stages and resumed; a run with a poisoned shard (every attempt fails)
 # must still complete, reporting the quarantined shard through the
 # supervision counters instead of crashing.
 smoke-shard: build
@@ -162,6 +163,12 @@ smoke-shard: build
 		--snapshot-json .journals/smoke-shard/unsharded.json > /dev/null
 	cmp .journals/smoke-shard/sharded.json .journals/smoke-shard/unsharded.json
 	./target/release/report 0.02 0x5AD --shards 3 \
+		--journal-dir .journals/smoke-shard/journal --stop-after 4 > /dev/null 2> /dev/null
+	./target/release/report 0.02 0x5AD --shards 3 \
+		--journal-dir .journals/smoke-shard/journal --resume \
+		--snapshot-json .journals/smoke-shard/resumed.json > /dev/null
+	cmp .journals/smoke-shard/resumed.json .journals/smoke-shard/unsharded.json
+	./target/release/report 0.02 0x5AD --shards 3 \
 		--poison-shard 1 --poison-severity 1.0 \
 		> /dev/null 2> .journals/smoke-shard/poisoned.log
 	grep -q '1 quarantined' .journals/smoke-shard/poisoned.log
@@ -171,7 +178,10 @@ smoke-shard: build
 # Kill-and-resume smoke test over the checkpoint journal: run the first
 # four stages with a journal (simulated crash at the stage boundary),
 # resume the run from the journal, and require the resumed report's
-# determinism snapshot to match a fresh uninterrupted run byte-for-byte.
+# determinism snapshot to match a fresh uninterrupted run byte-for-byte
+# — for a batch spec and for a streamed (`--epochs 3`) one. Last, a run
+# whose corruption plan quarantines every thread must end in a typed
+# error: exit 1 with an `error:` line, not a panic.
 smoke-resume:
 	rm -rf .journals/smoke
 	$(CARGO) run $(OFFLINE) --release -p ewhoring-bench --bin report -- \
@@ -182,6 +192,18 @@ smoke-resume:
 	$(CARGO) run $(OFFLINE) --release -p ewhoring-bench --bin report -- \
 		0.02 --snapshot-json .journals/smoke/fresh.json > /dev/null
 	cmp .journals/smoke/resumed.json .journals/smoke/fresh.json
+	$(CARGO) run $(OFFLINE) --release -p ewhoring-bench --bin report -- \
+		0.02 --epochs 3 --journal-dir .journals/smoke --stop-after 4 > /dev/null
+	$(CARGO) run $(OFFLINE) --release -p ewhoring-bench --bin report -- \
+		0.02 --epochs 3 --journal-dir .journals/smoke --resume \
+		--snapshot-json .journals/smoke/resumed-epochs.json > /dev/null
+	$(CARGO) run $(OFFLINE) --release -p ewhoring-bench --bin report -- \
+		0.02 --epochs 3 --snapshot-json .journals/smoke/fresh-epochs.json > /dev/null
+	cmp .journals/smoke/resumed-epochs.json .journals/smoke/fresh-epochs.json
+	$(CARGO) run $(OFFLINE) --release -p ewhoring-bench --bin report -- \
+		0.02 0x1 --corruption 1000 > /dev/null 2> .journals/smoke/failing.log; \
+		test $$? -eq 1
+	grep -q '^error: ' .journals/smoke/failing.log
 	rm -rf .journals/smoke
 
 # Service-mode smoke test: start a server on an ephemeral port, issue

@@ -43,12 +43,14 @@ pub fn usage() -> &'static str {
     "usage: report [SUBCOMMAND] [OPTIONS]
 
 subcommands:
-  report   (default)  one batch pipeline run, report to stdout
+  report   (default)  one pipeline run (batch, sharded or streamed), report to stdout
            [scale] [seed] [--workers N] [--faults S] [--corruption S]
            [--epochs K] [--upto E] [--incremental]
            [--shards N] [--poison-shard K] [--poison-panics M] [--poison-severity S]
            [--json PATH] [--snapshot-json PATH] [--bench-json PATH]
            [--journal-dir PATH] [--resume] [--stop-after N] [--intervention]
+           scale > 0, severities >= 0; --journal-dir checkpoints every stage
+           (every epoch with --incremental; --stop-after needs the stage loop)
   serve    long-running pipeline service (line-delimited JSON over TCP)
            [--addr HOST:PORT] [--pool N] [--journal-dir PATH] [--port-file PATH]
   loadgen  fire a seeded hot/cold request mix at a running server
@@ -332,10 +334,10 @@ fn parse_report(args: &[String]) -> Result<ReportArgs, CliError> {
     if out.incremental && out.spec.epochs == 0 {
         return err("`--incremental` requires `--epochs K`");
     }
-    out.spec.validate().map_err(CliError)?;
-    if out.spec.shards > 0 && out.journal_dir.is_some() {
-        return err("`--shards` cannot be combined with `--journal-dir` (sharded runs recompute)");
+    if out.incremental && out.stop_after.is_some() {
+        return err("`--stop-after` stops the stage loop; `--incremental` advances epochs instead");
     }
+    out.spec.validate().map_err(CliError)?;
     match poison_shard {
         Some(shard) => {
             if out.spec.shards == 0 {
@@ -663,8 +665,42 @@ mod tests {
         assert!(e.0.contains("out of range"), "{e}");
         let e = Command::parse(&args(&["--shards", "2", "--epochs", "3"])).unwrap_err();
         assert!(e.0.contains("batch-only"), "{e}");
-        let e = Command::parse(&args(&["--shards", "2", "--journal-dir", ".j"])).unwrap_err();
-        assert!(e.0.contains("journal-dir"), "{e}");
+        // A sharded run journals and resumes like any other run.
+        let cmd = Command::parse(&args(&["--shards", "2", "--journal-dir", ".j"]))
+            .expect("sharded journaled form parses");
+        let Command::Report(report) = cmd else {
+            panic!("expected Report");
+        };
+        assert_eq!(report.spec.shards, 2);
+        assert_eq!(report.journal_dir.as_deref(), Some(".j"));
+    }
+
+    #[test]
+    fn specs_the_pipeline_cannot_run_are_usage_errors() {
+        for (argv, field) in [
+            (&["0"][..], "scale"),
+            (&["0.0"][..], "scale"),
+            (&["NaN"][..], "scale"),
+            (&["inf"][..], "scale"),
+            (&["0.02", "--faults", "-1"][..], "faults"),
+            (&["0.02", "--faults", "NaN"][..], "faults"),
+            (&["0.02", "--corruption", "-0.1"][..], "corruption"),
+            (&["0.02", "--corruption", "inf"][..], "corruption"),
+        ] {
+            let e = Command::parse(&args(argv)).unwrap_err();
+            assert!(e.0.contains(&format!("`{field}`")), "{argv:?}: {e}");
+        }
+        let e = Command::parse(&args(&[
+            "--epochs",
+            "3",
+            "--incremental",
+            "--journal-dir",
+            ".j",
+            "--stop-after",
+            "2",
+        ]))
+        .unwrap_err();
+        assert!(e.0.contains("--stop-after"), "{e}");
     }
 
     #[test]

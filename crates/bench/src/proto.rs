@@ -248,6 +248,24 @@ mod tests {
         assert!(e.unwrap_err().contains("requires `epochs`"));
         let e = Request::decode(r#"{"cmd":"advance","scale":0.02,"epochs":3,"shards":2}"#);
         assert!(e.unwrap_err().contains("batch-only"));
+        for (line, field) in [
+            (r#"{"cmd":"run","scale":0,"seed":1}"#, "scale"),
+            (r#"{"cmd":"run","scale":-1,"seed":1}"#, "scale"),
+            (r#"{"cmd":"run","scale":1e999,"seed":1}"#, "scale"),
+            (r#"{"cmd":"run","scale":0.02,"faults":-1}"#, "faults"),
+            (
+                r#"{"cmd":"run","scale":0.02,"corruption":-0.5}"#,
+                "corruption",
+            ),
+            (
+                r#"{"cmd":"run","scale":0.02,"corruption":1e999}"#,
+                "corruption",
+            ),
+            (r#"{"cmd":"advance","scale":0,"epochs":3}"#, "scale"),
+        ] {
+            let e = Request::decode(line).expect_err(line);
+            assert!(e.contains(&format!("`{field}`")), "{line}: {e}");
+        }
     }
 
     #[test]

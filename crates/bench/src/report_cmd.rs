@@ -5,11 +5,18 @@
 use crate::cli::{BenchArgs, ReportArgs};
 use ewhoring_core::pipeline::{
     snapshot_json, stream_world, EpochEngine, Journal, Pipeline, PipelineOptions, PipelineReport,
-    RunSpec, StageTiming, TimingSource,
+    RunSpec, StageCtx, StageTiming, TimingSource,
 };
 use ewhoring_core::report::full_report;
 use std::time::Instant;
 use worldgen::World;
+
+/// One full run through the fallible stage loop, its error rendered.
+fn run_all(pipe: &Pipeline, world: &World) -> Result<PipelineReport, String> {
+    pipe.run_prefix(world, usize::MAX)
+        .and_then(StageCtx::into_report)
+        .map_err(|e| format!("pipeline run: {e}"))
+}
 
 fn generate_world(spec: &RunSpec) -> World {
     let config = spec.world_config();
@@ -42,118 +49,113 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
         poison: args.poison,
         ..spec.options()
     };
+    // Outside the epoch engine a streamed spec runs over the
+    // feed-normalized world — the ids and order the engine sees, so its
+    // output is byte-comparable with `--incremental` and serve `advance`
+    // snapshots.
+    let world = match options.stream {
+        Some(stream) if !args.incremental => stream_world(world, stream),
+        _ => world,
+    };
     let t = Instant::now();
-    // Streamed specs (`--epochs K`) never stage-journal — that path is
-    // batch-only — so they are routed first: either one fresh fold
-    // over the feed world, or (`--incremental`) warm epoch
-    // advances on the engine, journal-checkpointed per epoch when
-    // `--journal-dir` is given.
+    // `--incremental` advances the epoch engine, journal-checkpointed
+    // per epoch when `--journal-dir` is given. Every other run — batch,
+    // sharded or streamed — goes through the one stage loop,
+    // stage-journaled when `--journal-dir` is given.
     let mut engine: Option<EpochEngine> = None;
     let mut world = Some(world);
-    let report = if let Some(stream) = options.stream {
-        if args.stop_after.is_some() {
-            return Err(
-                "`--stop-after` is batch-only (stage journaling does not apply to `--epochs` runs)"
-                    .to_string(),
-            );
-        }
-        if args.incremental {
-            let held = world.take().expect("world generated above");
-            let built = match &args.journal_dir {
-                Some(dir) => {
-                    EpochEngine::with_journal(held, spec.epochs, options, std::path::Path::new(dir))
-                        .map_err(|e| format!("open epoch journal: {e}"))?
-                }
-                None => EpochEngine::new(held, spec.epochs, options),
-            };
-            let engine = engine.insert(built);
-            let upto = spec.effective_upto();
-            if engine.epoch() > 0 {
-                eprintln!(
-                    "resumed epoch engine at epoch {}/{}",
-                    engine.epoch(),
-                    engine.epochs()
-                );
+    let report = if args.incremental {
+        let held = world.take().expect("world generated above");
+        let built = match &args.journal_dir {
+            Some(dir) => {
+                EpochEngine::with_journal(held, spec.epochs, options, std::path::Path::new(dir))
+                    .map_err(|e| format!("open epoch journal: {e}"))?
             }
-            if engine.epoch() > upto {
-                return Err(format!(
-                    "journal is already at epoch {}, past the requested --upto {upto}",
-                    engine.epoch()
-                ));
-            }
-            let mut last = None;
-            while engine.epoch() < upto {
-                let t = Instant::now();
-                let report = engine
-                    .advance()
-                    .map_err(|e| format!("advance to epoch {}: {e}", engine.epoch() + 1))?;
-                eprintln!(
-                    "epoch {}/{} advanced in {:.1?}",
-                    engine.epoch(),
-                    engine.epochs(),
-                    t.elapsed()
-                );
-                last = Some(report);
-            }
-            match last {
-                Some(report) => report,
-                // Every requested epoch was already journaled: nothing
-                // to advance, so recompute the report for printing.
-                None => engine
-                    .fresh_report()
-                    .map_err(|e| format!("recompute resumed epoch: {e}"))?,
-            }
-        } else {
-            // One fresh stream-mode run over the feed-normalized world —
-            // the same ids and order the epoch engine sees, so this
-            // output is byte-comparable with `--incremental` and serve
-            // `advance` snapshots.
-            let held = world.take().expect("world generated above");
-            world = Some(stream_world(held, stream));
-            Pipeline::new(options).run(world.as_ref().expect("stored above"))
-        }
-    } else if let Some(dir) = &args.journal_dir {
-        let world = world.as_ref().expect("world generated above");
-        let dir = std::path::Path::new(dir);
-        if !args.resume {
-            // A fresh (non-resume) run must never trust leftover
-            // checkpoints for this run key.
-            let journal = Journal::open(dir, &world.config, &options)
-                .map_err(|e| format!("open checkpoint journal: {e}"))?;
-            journal
-                .clear()
-                .map_err(|e| format!("clear checkpoint journal: {e}"))?;
-        }
-        let pipe = Pipeline::new(options);
-        if let Some(n) = args.stop_after {
-            // Simulated crash: run (and checkpoint) the first N stages,
-            // then exit at the stage boundary without a report.
-            let ctx = pipe
-                .run_prefix_resumable(world, n, dir)
-                .map_err(|e| format!("prefix run: {e}"))?;
+            None => EpochEngine::new(held, spec.epochs, options),
+        };
+        let engine = engine.insert(built);
+        let upto = spec.effective_upto();
+        if engine.epoch() > 0 {
             eprintln!(
-                "stopped after {} stage(s); journal under {}",
-                ctx.timings()
-                    .iter()
-                    .filter(|t| t.stage != "journal")
-                    .count(),
-                dir.display()
+                "resumed epoch engine at epoch {}/{}",
+                engine.epoch(),
+                engine.epochs()
             );
-            for t in ctx.timings() {
-                eprintln!(
-                    "  {:<16} {:>9.1} ms  {:>8} items  [{}]",
-                    t.stage,
-                    t.wall_us as f64 / 1_000.0,
-                    t.items,
-                    t.source.as_str()
-                );
-            }
-            return Ok(());
         }
-        pipe.run_resumable(world, dir)
-            .map_err(|e| format!("resumable run: {e}"))?
+        if engine.epoch() > upto {
+            return Err(format!(
+                "journal is already at epoch {}, past the requested --upto {upto}",
+                engine.epoch()
+            ));
+        }
+        let mut last = None;
+        while engine.epoch() < upto {
+            let t = Instant::now();
+            let report = engine
+                .advance()
+                .map_err(|e| format!("advance to epoch {}: {e}", engine.epoch() + 1))?;
+            eprintln!(
+                "epoch {}/{} advanced in {:.1?}",
+                engine.epoch(),
+                engine.epochs(),
+                t.elapsed()
+            );
+            last = Some(report);
+        }
+        match last {
+            Some(report) => report,
+            // Every requested epoch was already journaled: nothing
+            // to advance, so recompute the report for printing.
+            None => engine
+                .fresh_report()
+                .map_err(|e| format!("recompute resumed epoch: {e}"))?,
+        }
     } else {
-        Pipeline::new(options).run(world.as_ref().expect("world generated above"))
+        let world = world.as_ref().expect("world generated above");
+        let pipe = Pipeline::new(options);
+        match &args.journal_dir {
+            None => run_all(&pipe, world)?,
+            Some(dir) => {
+                let dir = std::path::Path::new(dir);
+                if !args.resume {
+                    // A fresh (non-resume) run must never trust leftover
+                    // checkpoints for this run key.
+                    let journal = Journal::open(dir, &world.config, &options)
+                        .map_err(|e| format!("open checkpoint journal: {e}"))?;
+                    journal
+                        .clear()
+                        .map_err(|e| format!("clear checkpoint journal: {e}"))?;
+                }
+                if let Some(n) = args.stop_after {
+                    // Simulated crash: run (and checkpoint) the first N
+                    // stages, then exit at the stage boundary without a
+                    // report.
+                    let ctx = pipe
+                        .run_prefix_resumable(world, n, dir)
+                        .map_err(|e| format!("prefix run: {e}"))?;
+                    eprintln!(
+                        "stopped after {} stage(s); journal under {}",
+                        ctx.timings()
+                            .iter()
+                            .filter(|t| t.stage != "journal")
+                            .count(),
+                        dir.display()
+                    );
+                    for t in ctx.timings() {
+                        eprintln!(
+                            "  {:<16} {:>9.1} ms  {:>8} items  [{}]",
+                            t.stage,
+                            t.wall_us as f64 / 1_000.0,
+                            t.items,
+                            t.source.as_str()
+                        );
+                    }
+                    return Ok(());
+                }
+                pipe.run_resumable(world, dir)
+                    .map_err(|e| format!("resumable run: {e}"))?
+            }
+        }
     };
     // The incremental path moved the world into the engine; every later
     // use borrows it back from whichever place owns it.
@@ -226,11 +228,13 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
     if let Some(path) = &args.bench_json {
         eprintln!("bench baseline: rerunning pipeline at workers=1 …");
         let t = Instant::now();
-        let serial = Pipeline::new(PipelineOptions {
-            workers: 1,
-            ..options
-        })
-        .run(world);
+        let serial = run_all(
+            &Pipeline::new(PipelineOptions {
+                workers: 1,
+                ..options
+            }),
+            world,
+        )?;
         eprintln!("serial run finished in {:.1?}", t.elapsed());
         let json = bench_baseline_json(
             spec.scale,
@@ -271,18 +275,20 @@ pub fn bench_main(args: &BenchArgs) -> Result<(), String> {
     let world = generate_world(&spec);
     let generate_us = t.elapsed().as_micros();
     let t = Instant::now();
-    let parallel = Pipeline::new(spec.options()).run(&world);
+    let parallel = run_all(&Pipeline::new(spec.options()), &world)?;
     eprintln!(
         "parallel run (workers={}) finished in {:.1?}",
         args.workers,
         t.elapsed()
     );
     let t = Instant::now();
-    let serial = Pipeline::new(PipelineOptions {
-        workers: 1,
-        ..spec.options()
-    })
-    .run(&world);
+    let serial = run_all(
+        &Pipeline::new(PipelineOptions {
+            workers: 1,
+            ..spec.options()
+        }),
+        &world,
+    )?;
     eprintln!("serial run finished in {:.1?}", t.elapsed());
     let json = bench_baseline_json(
         spec.scale,
@@ -468,18 +474,20 @@ fn bench_shard_main(args: &BenchArgs) -> Result<(), String> {
     };
     let world = generate_world(&spec);
     let t = Instant::now();
-    let unsharded = Pipeline::new(spec.options()).run(&world);
+    let unsharded = run_all(&Pipeline::new(spec.options()), &world)?;
     let unsharded_us = t.elapsed().as_micros();
     eprintln!(
         "unsharded run finished in {:.1} ms",
         unsharded_us as f64 / 1_000.0
     );
     let t = Instant::now();
-    let sharded = Pipeline::new(PipelineOptions {
-        shards: args.shards,
-        ..spec.options()
-    })
-    .run(&world);
+    let sharded = run_all(
+        &Pipeline::new(PipelineOptions {
+            shards: args.shards,
+            ..spec.options()
+        }),
+        &world,
+    )?;
     let sharded_us = t.elapsed().as_micros();
     eprintln!(
         "sharded run (shards={}) finished in {:.1} ms",

@@ -1,8 +1,8 @@
 //! End-to-end tests of the pipeline service over a real TCP socket:
 //! the full request/response lifecycle, byte-identical wire-delivered
 //! snapshots, single-flight collapse of concurrent identical runs,
-//! round trips free of Nagle/delayed-ACK stalls, and the request-line
-//! bounds.
+//! round trips free of Nagle/delayed-ACK stalls, the request-line
+//! bounds, and typed errors for runs the pipeline cannot finish.
 
 use ewhoring_bench::cli::ServeArgs;
 use ewhoring_bench::proto::{Request, Response};
@@ -30,10 +30,19 @@ fn tiny(seed: u64) -> RunSpec {
 /// Binds an ephemeral-port server with `pool` workers and serves it on
 /// a background thread until `shutdown`.
 fn start_server(pool: usize) -> (Arc<Server>, std::thread::JoinHandle<()>, String) {
+    start_server_with(pool, None)
+}
+
+/// [`start_server`] with the result cache backed by a journal under
+/// `journal_dir` (`None` = memory only).
+fn start_server_with(
+    pool: usize,
+    journal_dir: Option<String>,
+) -> (Arc<Server>, std::thread::JoinHandle<()>, String) {
     let args = ServeArgs {
         addr: "127.0.0.1:0".to_string(),
         pool,
-        journal_dir: None,
+        journal_dir,
         port_file: None,
     };
     let server = Arc::new(Server::bind(&args).expect("bind ephemeral port"));
@@ -422,4 +431,40 @@ fn unrunnable_spec_gets_a_typed_error_and_the_pool_keeps_serving() {
     let down = Wire::connect(&addr).call(&Request::Shutdown);
     assert!(down.is_ok());
     handle.join().expect("server thread exits");
+}
+
+/// A `run` whose pipeline fails — a corruption plan that quarantines
+/// every thread — is answered with a typed error, on a memory-only
+/// server and on a journaled one-worker pool (sharded there, so the
+/// failure comes out of the shard survey), and the worker goes on to
+/// answer a plain `run` on a fresh connection.
+#[test]
+fn failing_run_gets_a_typed_error_and_the_pool_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("ewhoring-serve-failing-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = Some(dir.to_string_lossy().into_owned());
+    for (journal_dir, shards) in [(None, 0), (journal, 2)] {
+        let (_server, handle, addr) = start_server_with(1, journal_dir);
+
+        let failing = RunSpec {
+            corruption: 1000.0,
+            shards,
+            ..tiny(9)
+        };
+        let bad = Wire::connect(&addr).call(&Request::Run(failing));
+        assert!(!bad.is_ok(), "shards={shards}");
+        assert!(
+            bad.error_text().unwrap_or_default().contains("quarantined"),
+            "shards={shards}: {:?}",
+            bad.error_text()
+        );
+
+        let run = Wire::connect(&addr).call(&Request::Run(tiny(9)));
+        assert!(run.is_ok(), "shards={shards}: {:?}", run.error_text());
+
+        let down = Wire::connect(&addr).call(&Request::Shutdown);
+        assert!(down.is_ok());
+        handle.join().expect("server thread exits");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,8 @@
 //!   pipeline ([`RunCache::computed_runs`] counts these), and the rest
 //!   wake to a shared `Arc` of the finished report.
 //! * **Journal layer** — when opened with a journal root, the compute
-//!   path runs [`Pipeline::run_resumable`], so a run journaled by *any*
+//!   path runs [`Pipeline::run_resumable`] (batch, sharded and streamed
+//!   specs alike), so a run journaled by *any*
 //!   earlier process (a batch invocation, a previous server lifetime)
 //!   is loaded stage by stage instead of recomputed; a fully journaled
 //!   run costs deserialization only and reports every stage with
@@ -29,7 +30,9 @@
 //!
 //! [`TimingSource::Journal`]: super::TimingSource::Journal
 
-use super::{journal, Pipeline, PipelineOptions, PipelineReport, StageError, StreamSpec};
+use super::{
+    journal, stream_world, Pipeline, PipelineOptions, PipelineReport, StageError, StreamSpec,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -80,12 +83,27 @@ impl Default for RunSpec {
 }
 
 impl RunSpec {
-    /// Rejects knob combinations the pipeline cannot run: an `upto`
-    /// epoch without a streamed (`epochs > 0`) spec, and sharding a
-    /// streamed spec (sharded execution is batch-only). The batch CLI
-    /// and the wire decoder both call this, so neither can hand
-    /// [`Pipeline::run`] a spec it would refuse.
+    /// Rejects specs the pipeline cannot run: a `scale` that is not a
+    /// finite number above 0, a `faults` or `corruption` severity that
+    /// is not a finite number ≥ 0, an `upto` epoch without a streamed
+    /// (`epochs > 0`) spec, and sharding a streamed spec (the shard
+    /// survey folds the world as generated). The batch CLI and the wire
+    /// decoder both call this, so neither hands the pipeline a spec it
+    /// would refuse.
     pub fn validate(&self) -> Result<(), String> {
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err(format!(
+                "`scale` must be a finite number above 0, got {}",
+                self.scale
+            ));
+        }
+        for (name, severity) in [("faults", self.faults), ("corruption", self.corruption)] {
+            if !(severity.is_finite() && severity >= 0.0) {
+                return Err(format!(
+                    "`{name}` must be a finite number at or above 0, got {severity}"
+                ));
+            }
+        }
         if self.upto > 0 && self.epochs == 0 {
             return Err("`upto` requires `epochs` (`--upto` needs `--epochs K`)".to_string());
         }
@@ -223,19 +241,19 @@ pub struct RunCache {
 impl RunCache {
     /// A purely in-memory cache: results live for this process only.
     pub fn in_memory() -> RunCache {
-        RunCache {
-            journal_root: None,
-            slots: Mutex::new(HashMap::new()),
-            computed: AtomicUsize::new(0),
-        }
+        RunCache::new(None)
     }
 
     /// A cache whose compute path checkpoints into (and resumes from)
     /// the stage journal under `root` — results survive the process and
     /// are shared with batch runs pointed at the same directory.
     pub fn with_journal(root: impl Into<PathBuf>) -> RunCache {
+        RunCache::new(Some(root.into()))
+    }
+
+    fn new(journal_root: Option<PathBuf>) -> RunCache {
         RunCache {
-            journal_root: Some(root.into()),
+            journal_root,
             slots: Mutex::new(HashMap::new()),
             computed: AtomicUsize::new(0),
         }
@@ -300,20 +318,21 @@ impl RunCache {
         }
     }
 
-    /// The compute path behind a cache miss. Stream specs always run
-    /// a fresh fold over the feed-normalized world (per-stage journaling is batch-only; incremental serving
-    /// is the epoch engine's job — see the serve layer's `advance`).
+    /// The compute path behind a cache miss: a streamed spec runs over
+    /// its feed-normalized world ([`stream_world`]), then every spec
+    /// goes through the one fallible stage loop — journal-resumable
+    /// when the cache has a journal root. Incremental serving is the
+    /// epoch engine's job (the serve layer's `advance`).
     fn compute(&self, spec: &RunSpec) -> Result<Arc<PipelineReport>, StageError> {
-        let world = World::generate(spec.world_config());
         let options = spec.options();
+        let mut world = World::generate(spec.world_config());
+        if let Some(stream) = options.stream {
+            world = stream_world(world, stream);
+        }
         let pipeline = Pipeline::new(options);
-        let report = match (&self.journal_root, options.stream) {
-            // Stage-level journaling covers the unsharded batch driver
-            // only; sharded runs always compute through the supervised
-            // driver (their snapshot is identical either way).
-            (Some(root), None) if options.shards == 0 => pipeline.run_resumable(&world, root)?,
-            (_, Some(stream)) => pipeline.run(&super::epoch::stream_world(world, stream)),
-            _ => pipeline.run(&world),
+        let report = match &self.journal_root {
+            Some(root) => pipeline.run_resumable(&world, root)?,
+            None => pipeline.run_prefix(&world, usize::MAX)?.into_report()?,
         };
         Ok(Arc::new(report))
     }

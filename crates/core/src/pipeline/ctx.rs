@@ -200,23 +200,10 @@ pub struct MeasuredImages {
 
 impl MeasuredImages {
     /// Re-splits one flat measurement batch (previews first, then every
-    /// pack in order) back into its sources. Panics if the lengths do not
-    /// add up — that would mean the batch dropped or invented images.
-    /// Prefer [`MeasuredImages::try_from_flat`] in stage code.
-    pub fn from_flat(
-        flat: Vec<ImageMeasures>,
-        n_previews: usize,
-        pack_lens: &[usize],
-    ) -> MeasuredImages {
-        match Self::try_from_flat(flat, n_previews, pack_lens) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible re-split: a length mismatch is reported as a
-    /// [`StageError::CorruptArtifact`] instead of a panic, so the driver
-    /// can retry or surface the failure in the run report.
+    /// pack in order) back into its sources. A length mismatch — the
+    /// batch dropped or invented images — is a
+    /// [`StageError::CorruptArtifact`], so the driver can retry or
+    /// surface the failure in the run report.
     pub fn try_from_flat(
         flat: Vec<ImageMeasures>,
         n_previews: usize,
@@ -581,6 +568,7 @@ impl<'w> StageCtx<'w> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use imagesim::{ImageClass, ImageSpec};
@@ -603,7 +591,7 @@ mod tests {
         for p in &packs {
             flat.extend(p.iter().copied());
         }
-        let split = MeasuredImages::from_flat(flat, previews.len(), &[2, 0, 4]);
+        let split = MeasuredImages::try_from_flat(flat, previews.len(), &[2, 0, 4]).unwrap();
         assert_eq!(split.previews, previews);
         assert_eq!(split.packs.len(), 3);
         for (got, want) in split.packs.iter().zip(&packs) {
@@ -613,9 +601,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "flat measure batch")]
     fn from_flat_rejects_short_batches() {
-        MeasuredImages::from_flat(measures(2, 0), 2, &[1]);
+        let e = MeasuredImages::try_from_flat(measures(2, 0), 2, &[1]).unwrap_err();
+        assert!(e.to_string().contains("flat measure batch"), "{e}");
     }
 
     #[test]

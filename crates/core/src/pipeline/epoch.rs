@@ -9,10 +9,8 @@
 //! warm carry over its delta —
 //!
 //! * `top_classifier`: the bootstrap-frozen model (trained once at the
-//!   first boundary with an annotation sample), first-sight decisions
-//!   per thread, and an
-//!   incrementally grown vocabulary / document-frequency index
-//!   ([`StreamTextIndex`] — vocab union + new-doc rows, never a rebuild);
+//!   first boundary with an annotation sample) and first-sight
+//!   decisions per thread;
 //! * `measure_images`: a memo of every `(spec, transform)` pair already
 //!   measured (measures are pure, so memoised values are exact);
 //! * `nsfv`: the validation-set evaluation (pure in the seed);
@@ -51,7 +49,7 @@ use crate::actors::ActorFold;
 use crate::finance::{EarningsAgg, EarningsHarvest};
 use crate::nsfv::{ImageMeasures, NsfvValidation};
 use crate::provenance::QueryOutcome;
-use crate::topcls::{BootstrapModel, StreamIndexStats};
+use crate::topcls::BootstrapModel;
 use crimebb::ThreadId;
 use imagesim::RobustHash;
 use serde::{Deserialize, Serialize};
@@ -59,7 +57,6 @@ use socgraph::DiGraph;
 use std::collections::HashSet;
 use std::path::Path;
 use synthrand::Day;
-use textkit::dtm::{DocTermMatrix, Vocabulary};
 use textkit::Url;
 use websim::StoredImage;
 use worldgen::{Feed, World};
@@ -96,58 +93,6 @@ pub struct TopclsCarry {
     /// order: threads grouped by the epoch they appeared in, each
     /// decided on its state as of that epoch's boundary.
     pub decisions: Vec<(ThreadId, bool, bool)>,
-    /// The incrementally grown corpus text index.
-    pub index: StreamTextIndex,
-}
-
-/// An incrementally grown vocabulary + document-frequency table: the
-/// delta-update form of the DTM/TF-IDF build. Epoch advances extend the
-/// vocabulary (append-stable term ids), count only the new documents,
-/// and fold their rows into the running `df` — never a from-scratch
-/// rebuild. [`TfIdf::fit_from_df`] proves the resulting weights equal a
-/// full refit, which is what makes the fold exact.
-///
-/// [`TfIdf::fit_from_df`]: textkit::dtm::TfIdf::fit_from_df
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StreamTextIndex {
-    /// Union vocabulary over every folded document.
-    pub vocab: Vocabulary,
-    /// Document frequency per term id.
-    pub df: Vec<usize>,
-    /// Documents folded in.
-    pub docs: usize,
-}
-
-impl StreamTextIndex {
-    /// Folds one batch of tokenised documents into the index: vocab
-    /// union, transient count rows for the batch only, df accumulation.
-    pub fn fold(&mut self, docs: &[Vec<String>], workers: usize) {
-        if docs.is_empty() {
-            return;
-        }
-        self.vocab.extend(docs.iter().map(|d| d.iter()));
-        let mut dtm = DocTermMatrix::default();
-        dtm.append_docs_par(&self.vocab, docs, workers);
-        dtm.accumulate_df(&mut self.df, 0);
-        self.docs += docs.len();
-    }
-
-    /// Diagnostics snapshot, including the smoothed-IDF checksum
-    /// (`Σ ln((1+N)/(1+df)) + 1`, the [`TfIdf`] weight formula).
-    ///
-    /// [`TfIdf`]: textkit::dtm::TfIdf
-    pub fn stats(&self) -> StreamIndexStats {
-        let n = self.docs as f64;
-        StreamIndexStats {
-            terms: self.vocab.len(),
-            docs: self.docs,
-            idf_checksum: self
-                .df
-                .iter()
-                .map(|&d| ((1.0 + n) / (1.0 + d as f64)).ln() + 1.0)
-                .sum(),
-        }
-    }
 }
 
 /// Carry of the `measure_images` stage: every `(spec, transform)` pair
@@ -211,7 +156,8 @@ pub struct ProvenanceCarry {
 /// tolerance, so the warm chain replays bit-identically from scratch),
 /// and the per-actor tallies and Currency Exchange ledger that Table 7
 /// and the key-actor ranking share. It is the only fold of these, and
-/// the shard driver folds per-forum partials of it and merges them.
+/// the sharded `extract` survey folds per-forum partials of it and
+/// merges them.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorsCarry {
     /// Last epoch folded into the graph and centrality chain.
@@ -284,7 +230,7 @@ impl EpochEngine {
         journal_dir: &Path,
     ) -> Result<EpochEngine, StageError> {
         let mut engine = EpochEngine::new(world, epochs, options);
-        let journal = Journal::open(journal_dir, &engine.world.config, &engine.journal_options())?;
+        let journal = Journal::open(journal_dir, &engine.world.config, &engine.options_at(0))?;
         for e in (1..=epochs).rev() {
             let LoadOutcome::Hit(record) = journal.load((e - 1) as usize, &Self::record_name(e))
             else {
@@ -304,14 +250,15 @@ impl EpochEngine {
         Ok(engine)
     }
 
-    /// The run-key options shared by every epoch of this stream: `upto`
-    /// is normalised to 0 so all boundary checkpoints land in one run
-    /// directory (the epoch index lives in the record name instead).
-    fn journal_options(&self) -> PipelineOptions {
+    /// The options of a run that sees the feed up to epoch `upto`. The
+    /// journal's run key uses `upto` 0, shared by every epoch of this
+    /// stream, so all boundary checkpoints land in one run directory
+    /// (the epoch index lives in the record name instead).
+    fn options_at(&self, upto: u32) -> PipelineOptions {
         PipelineOptions {
             stream: Some(StreamSpec {
                 epochs: self.feed.epochs(),
-                upto: 0,
+                upto,
             }),
             ..self.options
         }
@@ -353,15 +300,9 @@ impl EpochEngine {
         );
         let e = self.epoch + 1;
         self.feed.apply_epoch(&mut self.world, e);
-        let options = PipelineOptions {
-            stream: Some(StreamSpec {
-                epochs: self.feed.epochs(),
-                upto: e,
-            }),
-            ..self.options
-        };
         let carry = std::mem::take(&mut self.carry);
-        let (report, carry) = Pipeline::new(options).run_with_carry(&self.world, carry)?;
+        let (report, carry) =
+            Pipeline::new(self.options_at(e)).run_with_carry(&self.world, carry)?;
         self.carry = carry;
         self.epoch = e;
         if let Some(journal) = &self.journal {
@@ -402,14 +343,7 @@ impl EpochEngine {
     /// `bench epoch` speedup gate measures against).
     pub fn fresh_report(&self) -> Result<PipelineReport, StageError> {
         assert!(self.epoch >= 1, "no epoch has run yet");
-        let options = PipelineOptions {
-            stream: Some(StreamSpec {
-                epochs: self.feed.epochs(),
-                upto: self.epoch,
-            }),
-            ..self.options
-        };
-        Ok(Pipeline::new(options)
+        Ok(Pipeline::new(self.options_at(self.epoch))
             .run_with_carry(&self.world, EpochCarry::default())?
             .0)
     }
@@ -426,10 +360,6 @@ mod tests {
         let mut carry = EpochCarry::default();
         carry.topcls.epoch = 2;
         carry.topcls.decisions = vec![(ThreadId(3), true, false), (ThreadId(9), false, true)];
-        carry
-            .topcls
-            .index
-            .fold(&[vec!["pack".to_string(), "pics".to_string()]], 1);
         carry.finance.cursor = 41;
         carry.finance.whiteset.insert("imgur.com".to_string());
         carry
@@ -466,11 +396,6 @@ mod tests {
         let back: EpochCarry = serde_json::from_value(value).unwrap();
         assert_eq!(back.topcls.epoch, 2);
         assert_eq!(back.topcls.decisions, carry.topcls.decisions);
-        assert_eq!(back.topcls.index.docs, 1);
-        assert_eq!(
-            back.topcls.index.vocab.len(),
-            carry.topcls.index.vocab.len()
-        );
         assert_eq!(back.finance.cursor, 41);
         assert!(back.finance.whiteset.contains("imgur.com"));
         assert!(back
@@ -491,23 +416,6 @@ mod tests {
         assert_eq!(back.actors.ce_cursor, 17);
         assert_eq!(back.actors.ce_threads, carry.actors.ce_threads);
         assert!(back.nsfv.is_none());
-    }
-
-    #[test]
-    fn stream_index_stats_match_a_full_refit() {
-        let docs: Vec<Vec<String>> = vec![
-            vec!["pack".into(), "pics".into(), "pack".into()],
-            vec!["pics".into(), "tutorial".into()],
-        ];
-        let mut grown = StreamTextIndex::default();
-        grown.fold(&docs[..1], 1);
-        grown.fold(&docs[1..], 1);
-
-        let mut whole = StreamTextIndex::default();
-        whole.fold(&docs, 1);
-
-        assert_eq!(grown.stats(), whole.stats());
-        assert!(grown.stats().idf_checksum > 0.0);
     }
 
     #[test]

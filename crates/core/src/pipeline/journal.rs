@@ -1,4 +1,6 @@
 //! The stage-checkpoint journal behind [`Pipeline::run_resumable`].
+//! Every run form journals through it — batch, sharded and streamed
+//! alike.
 //!
 //! After each stage completes, its typed artifacts (already `serde`)
 //! are serialized into one file per stage under a run directory keyed
@@ -30,7 +32,7 @@
 //! [`PipelineOptions`]: super::PipelineOptions
 
 use super::corruption::QuarantineEntry;
-use super::ctx::require;
+use super::ctx::{carry_mut, require};
 use super::{PipelineOptions, StageCtx, StageError, StageHealth};
 use safety::{ReportedItem, SafetyGate};
 use serde::{Deserialize, Serialize};
@@ -45,7 +47,10 @@ use worldgen::WorldConfig;
 /// carry holds its funnel as one `EarningsHarvest`. Version 3: Table 7
 /// (`currency`) is assembled by `actors`, not `finance`, and the finance
 /// carry keeps its quarantined proofs instead of the Table 7 tallies.
-const FORMAT: u32 = 3;
+/// Version 4: sharded and streamed runs journal too; a sharded run's
+/// `extract` record also holds the `actors` carry its survey pre-folded,
+/// and `topcls` no longer carries a text-index summary.
+const FORMAT: u32 = 4;
 
 /// FNV-1a 64-bit over `bytes` — stable, dependency-free content hash
 /// for run keys and record checksums.
@@ -261,6 +266,48 @@ impl Journal {
             Err(e) => LoadOutcome::Rejected(format!("unparseable payload: {e}")),
         }
     }
+
+    /// Loads stage `index`'s record into `ctx`: its artifacts, then its
+    /// ledger entries and health events. Returns the record's item
+    /// count, or `None` when the stage must be recomputed: no record,
+    /// a rejected one, or one whose artifacts do not map onto the
+    /// artifact types (as corrupt as a bad checksum).
+    pub(super) fn restore(
+        &self,
+        index: usize,
+        stage: &str,
+        ctx: &mut StageCtx<'_>,
+    ) -> Option<usize> {
+        let LoadOutcome::Hit(record) = self.load(index, stage) else {
+            return None;
+        };
+        restore_stage(stage, ctx, &record.artifacts).ok()?;
+        for entry in record.quarantined {
+            ctx.ledger.push(entry);
+        }
+        ctx.health.extend(record.health);
+        Some(record.items)
+    }
+
+    /// Checkpoints stage `index`, just computed into `ctx`: its
+    /// artifacts, the ledger entries from `ledger_from` and the health
+    /// events from `health_from` on, and its item count.
+    pub(super) fn checkpoint(
+        &self,
+        index: usize,
+        stage: &str,
+        ctx: &StageCtx<'_>,
+        ledger_from: usize,
+        health_from: usize,
+    ) -> Result<(), StageError> {
+        let record = StageRecord {
+            artifacts: capture_stage(stage, ctx)?,
+            quarantined: ctx.ledger.entries()[ledger_from..].to_vec(),
+            health: ctx.health[health_from..].to_vec(),
+            items: ctx.timings.last().map_or(0, |t| t.items),
+        };
+        self.save(index, stage, &record)
+    }
 }
 
 // ---------------------------------------------------- stage codecs
@@ -323,8 +370,12 @@ macro_rules! stage_slots {
     };
 }
 
+/// The `extract` record's slot for a sharded survey's `actors` carry.
+const ACTORS_CARRY: &str = "actors_carry";
+
 /// Serializes the named stage's artifact slots out of `ctx` into one
-/// JSON object, ready for a [`StageRecord`].
+/// JSON object, ready for a [`StageRecord`]. A sharded `extract` record
+/// also holds the `actors` carry its survey pre-folded.
 pub fn capture_stage(name: &str, ctx: &StageCtx<'_>) -> Result<serde::Value, StageError> {
     let mut map = serde::Map::new();
     if name == "safety" {
@@ -343,6 +394,17 @@ pub fn capture_stage(name: &str, ctx: &StageCtx<'_>) -> Result<serde::Value, Sta
         ($($slot:ident),+) => {{ $(put(&mut map, stringify!($slot), &ctx.$slot)?;)+ }};
     }
     stage_slots!(capture, name);
+    if name == "extract" && ctx.options.shards > 0 {
+        // The shard survey pre-folds the `actors` carry — without a
+        // quarantined shard's forums, when one is lost — so a resumed
+        // run must not fold those posts back in.
+        let carry = require(&ctx.carry, "carry")?;
+        map.insert(
+            ACTORS_CARRY,
+            serde_json::to_value(&carry.actors)
+                .map_err(|e| corrupt(ACTORS_CARRY, format!("{e}")))?,
+        );
+    }
     Ok(serde::Value::Object(map))
 }
 
@@ -373,6 +435,9 @@ pub fn restore_stage(
         ($($slot:ident),+) => {{ $(ctx.$slot = Some(get(map, stringify!($slot))?);)+ }};
     }
     stage_slots!(restore, name);
+    if map.get(ACTORS_CARRY).is_some() {
+        carry_mut(&mut ctx.carry)?.actors = get(map, ACTORS_CARRY)?;
+    }
     Ok(())
 }
 

@@ -27,10 +27,12 @@
 //! report is byte-identical for any `PipelineOptions::workers` value
 //! (enforced by the worker-matrix test in `tests/determinism.rs`).
 //!
-//! The execution layer is crash-tolerant: [`Pipeline::run_resumable`]
-//! journals every completed stage's artifacts to disk ([`journal`]) and
-//! resumes a killed run from the last completed stage boundary,
-//! byte-identical to an uninterrupted run. Input corruption is injected
+//! Every run form — batch, sharded, streamed, journaled or not — goes
+//! through one stage loop. The execution layer is crash-tolerant:
+//! [`Pipeline::run_resumable`] journals every completed stage's
+//! artifacts to disk ([`journal`]) and resumes a killed run from the
+//! last completed stage boundary, byte-identical to an uninterrupted
+//! run. Input corruption is injected
 //! deterministically by a [`corruption::CorruptionPlan`] at
 //! `PipelineOptions::corruption_severity`; stages quarantine corrupt
 //! records into a [`corruption::QuarantineLedger`] instead of
@@ -53,7 +55,7 @@ pub use ctx::{
 };
 pub use epoch::{stream_world, EpochCarry, EpochEngine};
 pub use journal::Journal;
-pub use shard::{RestartPolicy, RoundOutcome, RoundStats, ShardPoison, Supervision, Supervisor};
+pub use shard::{RestartPolicy, RoundOutcome, ShardPoison, Supervision, Supervisor};
 pub use stages::measure::measure_batch;
 
 use crate::actors::{CohortRow, GroupProfile, InterestEvolution, KeyActors};
@@ -129,12 +131,13 @@ pub struct PipelineOptions {
     /// `Some` runs over the feed's epoch slices (see [`StreamSpec`]);
     /// `None` (default) folds the world as generated in one slice.
     pub stream: Option<StreamSpec>,
-    /// Shard the run by forum across `shards` supervised worker threads
-    /// (`0`, the default, is the classic unsharded driver). The merged
-    /// report is byte-identical at every shard count, so — like
-    /// `workers` — this knob is excluded from the journal run key.
-    /// Mutually exclusive with `stream` (the epoch engine has its own
-    /// incremental driver).
+    /// Fan the `extract` stage's corpus survey out by forum across
+    /// `shards` supervised worker threads (`0`, the default, surveys in
+    /// place). The merged report is byte-identical at every shard
+    /// count, so — like `workers` — this knob is excluded from the
+    /// journal run key. The survey folds the world as generated in one
+    /// slice, so a streamed run cannot shard (its `extract` stage fails
+    /// with a typed error).
     pub shards: usize,
     /// Deterministic shard-failure injection for supervision tests
     /// (panics and/or hard errors on one shard); `None` (default)
@@ -358,21 +361,12 @@ impl Pipeline {
     ///
     /// Every stage folds the run's slices into a fresh carry: one slice
     /// over the whole world as generated ([`StreamSpec::WHOLE`]) unless
-    /// `options.stream` is set. With
-    /// `options.shards > 0` the run executes through the supervised
-    /// shard driver ([`shard::run_sharded`]): the corpus survey fans out
-    /// per-forum across panic-isolated shard workers and a merge
-    /// coordinator folds the partials into the `actors` carry —
-    /// byte-identical to the unsharded run at every shard count.
+    /// `options.stream` is set. With `options.shards > 0` the `extract`
+    /// stage fans its corpus survey out per forum across panic-isolated
+    /// shard workers ([`shard`]) — byte-identical to the unsharded run
+    /// at every shard count. Panics on a [`StageError`]; the other run
+    /// forms return it.
     pub fn run(&self, world: &World) -> PipelineReport {
-        if self.options.shards > 0 {
-            assert!(
-                self.options.stream.is_none(),
-                "sharded execution is batch-only; epoch streaming has its own driver"
-            );
-            return shard::run_sharded(self.options, world)
-                .expect("the sharded driver produces every artifact");
-        }
         self.run_prefix(world, usize::MAX)
             .and_then(StageCtx::into_report)
             .expect("the full stage graph produces every artifact")
@@ -383,11 +377,7 @@ impl Pipeline {
     /// callers can inspect intermediate products without paying for the
     /// rest of the pipeline.
     pub fn run_prefix<'w>(&self, world: &'w World, n: usize) -> Result<StageCtx<'w>, StageError> {
-        let mut ctx = StageCtx::new(world, self.options);
-        for stage in Self::stages().into_iter().take(n) {
-            Self::step(stage.as_ref(), &mut ctx)?;
-        }
-        Ok(ctx)
+        Self::drive(StageCtx::new(world, self.options), n, None)
     }
 
     /// Runs every stage with `carry` as the warm inter-epoch state and
@@ -400,16 +390,13 @@ impl Pipeline {
         world: &World,
         carry: EpochCarry,
     ) -> Result<(PipelineReport, EpochCarry), StageError> {
-        assert!(
-            self.options.shards == 0,
-            "sharded execution has its own driver; epoch streaming does not shard"
-        );
         let mut ctx = StageCtx::new(world, self.options);
         ctx.carry = Some(carry);
-        for stage in Self::stages() {
-            Self::step(stage.as_ref(), &mut ctx)?;
-        }
-        let carry = ctx.carry.take().expect("stages keep the carry in place");
+        let mut ctx = Self::drive(ctx, usize::MAX, None)?;
+        let carry = ctx
+            .carry
+            .take()
+            .ok_or(StageError::MissingArtifact("carry"))?;
         Ok((ctx.into_report()?, carry))
     }
 
@@ -438,82 +425,66 @@ impl Pipeline {
         n: usize,
         journal_dir: &std::path::Path,
     ) -> Result<StageCtx<'w>, StageError> {
-        // The stage journal captures artifacts, not inter-epoch carry
-        // state; epoch runs checkpoint whole-epoch boundaries through
-        // [`EpochEngine`] instead.
-        assert!(
-            self.options.stream.is_none(),
-            "stage-level journaling is batch-only; use EpochEngine for epoch checkpoints"
-        );
-        assert!(
-            self.options.shards == 0,
-            "stage-level journaling covers the unsharded driver only; \
-             sharded runs recompute (they are cheap by construction)"
-        );
         let journal = Journal::open(journal_dir, &world.config, &self.options)?;
-        let mut ctx = StageCtx::new(world, self.options);
+        Self::drive(StageCtx::new(world, self.options), n, Some(&journal))
+    }
+
+    /// The one stage loop behind every run form: steps the first `n`
+    /// stages through [`Pipeline::step`]. With a journal it first loads
+    /// the longest contiguous journaled prefix (each stage folds only
+    /// its own carry field, so the loaded stages' carries are not
+    /// needed), checkpoints every stage it computes, and reports the
+    /// journal's own overhead as one `journal` timing row.
+    fn drive<'w>(
+        mut ctx: StageCtx<'w>,
+        n: usize,
+        journal: Option<&Journal>,
+    ) -> Result<StageCtx<'w>, StageError> {
         let mut journal_us: u128 = 0;
         let mut journal_ops: usize = 0;
         // Only a *contiguous* journaled prefix is trusted: past the
         // first miss every later stage is recomputed and overwritten,
         // because its inputs may no longer match what produced it.
-        let mut resuming = true;
+        let mut resuming = journal.is_some();
         for (index, stage) in Self::stages().into_iter().take(n).enumerate() {
-            if resuming {
+            let name = stage.name();
+            if let Some(journal) = journal.filter(|_| resuming) {
                 let t = Instant::now();
-                match journal.load(index, stage.name()) {
-                    journal::LoadOutcome::Hit(record) => {
-                        match journal::restore_stage(stage.name(), &mut ctx, &record.artifacts) {
-                            Ok(()) => {
-                                for entry in record.quarantined {
-                                    ctx.ledger.push(entry);
-                                }
-                                ctx.health.extend(record.health);
-                                let wall_us = t.elapsed().as_micros();
-                                journal_us += wall_us;
-                                journal_ops += 1;
-                                ctx.timings.push(StageTiming {
-                                    stage: stage.name().to_string(),
-                                    wall_us,
-                                    items: record.items,
-                                    source: TimingSource::Journal,
-                                });
-                                continue;
-                            }
-                            // A record that deserialized but does not
-                            // map onto the artifact types is as corrupt
-                            // as a bad checksum: recompute from here on.
-                            Err(_) => resuming = false,
-                        }
-                    }
-                    journal::LoadOutcome::Miss | journal::LoadOutcome::Rejected(_) => {
-                        resuming = false;
-                    }
+                let restored = journal.restore(index, name, &mut ctx);
+                let wall_us = t.elapsed().as_micros();
+                journal_us += wall_us;
+                if let Some(items) = restored {
+                    journal_ops += 1;
+                    ctx.timings.push(StageTiming {
+                        stage: name.to_string(),
+                        wall_us,
+                        items,
+                        source: TimingSource::Journal,
+                    });
+                    continue;
                 }
-                journal_us += t.elapsed().as_micros();
+                resuming = false;
             }
-            let ledger_before = ctx.ledger.len();
-            let health_before = ctx.health.len();
+            let ledger_from = ctx.ledger.len();
+            let health_from = ctx.health.len();
             Self::step(stage.as_ref(), &mut ctx)?;
-            let t = Instant::now();
-            let record = journal::StageRecord {
-                artifacts: journal::capture_stage(stage.name(), &ctx)?,
-                quarantined: ctx.ledger.entries()[ledger_before..].to_vec(),
-                health: ctx.health[health_before..].to_vec(),
-                items: ctx.timings.last().map_or(0, |t| t.items),
-            };
-            journal.save(index, stage.name(), &record)?;
-            journal_us += t.elapsed().as_micros();
-            journal_ops += 1;
+            if let Some(journal) = journal {
+                let t = Instant::now();
+                journal.checkpoint(index, name, &ctx, ledger_from, health_from)?;
+                journal_us += t.elapsed().as_micros();
+                journal_ops += 1;
+            }
         }
-        // Journal overhead gets its own row so per-stage numbers stay
-        // pure compute (or pure load, per their `source` marker).
-        ctx.timings.push(StageTiming {
-            stage: "journal".to_string(),
-            wall_us: journal_us,
-            items: journal_ops,
-            source: TimingSource::Journal,
-        });
+        if journal.is_some() {
+            // Journal overhead gets its own row so per-stage numbers
+            // stay pure compute (or pure load, per their `source`).
+            ctx.timings.push(StageTiming {
+                stage: "journal".to_string(),
+                wall_us: journal_us,
+                items: journal_ops,
+                source: TimingSource::Journal,
+            });
+        }
         Ok(ctx)
     }
 
@@ -523,37 +494,31 @@ impl Pipeline {
     /// ([`Stage::degrade`]) — otherwise the error propagates.
     fn step(stage: &dyn Stage, ctx: &mut StageCtx<'_>) -> Result<(), StageError> {
         let t = Instant::now();
-        let ledger_before = ctx.ledger.len();
-        let health_before = ctx.health.len();
-        if let Err(first) = stage.run(ctx) {
-            // Roll back partial per-record effects so the retry cannot
-            // double-record quarantines or items.
-            ctx.ledger.truncate(ledger_before);
-            ctx.health.truncate(health_before);
+        let (ledger_from, health_from) = (ctx.ledger.len(), ctx.health.len());
+        // Rolls back a failed attempt's per-record effects, so the retry
+        // cannot double-record quarantines or items.
+        let roll_back = |ctx: &mut StageCtx<'_>| {
+            ctx.ledger.truncate(ledger_from);
+            ctx.health.truncate(health_from);
             ctx.items = 0;
-            match stage.run(ctx) {
-                Ok(()) => {
-                    ctx.health.push(StageHealth {
-                        stage: stage.name().to_string(),
-                        status: StageStatus::Recovered,
-                        detail: first.to_string(),
-                    });
-                }
+        };
+        if let Err(first) = stage.run(ctx) {
+            roll_back(ctx);
+            let (status, cause) = match stage.run(ctx) {
+                Ok(()) => (StageStatus::Recovered, first),
                 Err(second) => {
-                    ctx.ledger.truncate(ledger_before);
-                    ctx.health.truncate(health_before);
-                    ctx.items = 0;
-                    if stage.degrade(ctx, &second) {
-                        ctx.health.push(StageHealth {
-                            stage: stage.name().to_string(),
-                            status: StageStatus::Degraded,
-                            detail: second.to_string(),
-                        });
-                    } else {
+                    roll_back(ctx);
+                    if !stage.degrade(ctx, &second) {
                         return Err(second);
                     }
+                    (StageStatus::Degraded, second)
                 }
-            }
+            };
+            ctx.health.push(StageHealth {
+                stage: stage.name().to_string(),
+                status,
+                detail: cause.to_string(),
+            });
         }
         let wall_us = t.elapsed().as_micros();
         let items = ctx.take_items();

@@ -1,9 +1,6 @@
-//! Supervised shard execution: actor-style sharded runs with panic
-//! isolation, shard quarantine, and a deterministic merge coordinator.
-//!
-//! The corpus is naturally partitioned — ten forums, per-site crawl
-//! domains — so a run can be split by forum across shard workers. The
-//! pieces:
+//! Supervised shard execution: the `extract` stage's per-forum fan-out,
+//! with panic isolation, shard quarantine, and a deterministic merge
+//! coordinator. The pieces:
 //!
 //! * [`Supervisor`] — a small actor-style supervision layer. Each shard
 //!   worker is a scoped OS thread owning a **bounded mailbox**
@@ -14,22 +11,19 @@
 //!   shard that exhausts its restart budget is **quarantined**: its
 //!   mailbox is dropped, the worker exits, and the round completes
 //!   without it.
-//! * [`run_sharded`] — the sharded pipeline driver. The corpus survey
-//!   fans out per-forum across supervised shards, each running the
-//!   stages' own code over its span: the `extract` stage's corruption
-//!   filter, and the `actors` carry's post and Currency Exchange folds
-//!   over the span's posts and threads (the world as generated numbers
-//!   both forum by forum, so a span is one id range of each). A merge
+//! * [`survey`] — the `extract` stage when `options.shards > 0`. Each
+//!   shard runs the stages' own code over its forum span: the `extract`
+//!   stage's corruption filter, and the `actors` carry's post and
+//!   Currency Exchange folds (the world as generated numbers posts and
+//!   threads forum by forum, so a span is one id range of each). The
 //!   coordinator concatenates the extraction rows in forum order and
-//!   merges the partial carries (`ActorsCarry::merge`) into the
-//!   `actors` stage's carry, with its cursors at the end of the corpus.
-//!   The remaining stages run on the coordinator through the ordinary
-//!   driver (`crawl`'s per-host circuit breakers couple state across
-//!   forums, so sharding them would change byte output); `actors` then
-//!   only assembles its artifacts from the pre-folded carry. The merged
-//!   report is **byte-identical to the unsharded run at every shard
-//!   count** — `tests/determinism.rs` enforces shards {1,2,5} × workers
-//!   {1,2,7}, with and without fault and corruption plans.
+//!   merges the partial carries into the `actors` stage's carry. Every
+//!   other stage runs unsharded in the one stage loop (`crawl`'s
+//!   per-host circuit breakers couple forums), so a sharded run is
+//!   journaled and resumed like any other, and its report is
+//!   **byte-identical to the unsharded run at every shard count** —
+//!   `tests/determinism.rs` enforces shards {1,2,5} × workers {1,2,7},
+//!   with and without fault and corruption plans.
 //! * Degradation — a quarantined shard's forums simply contribute
 //!   nothing: its extraction rows stay empty, a `ShardFailure` entry
 //!   lands in the quarantine ledger, the pipeline-health section gains
@@ -41,17 +35,14 @@ use super::corruption::RecordErrorKind;
 use super::ctx::{carry_mut, StageCtx};
 use super::epoch::ActorsCarry;
 use super::stages::extract::{drop_corrupt_rows, finish};
-use super::{
-    Pipeline, PipelineOptions, PipelineReport, StageError, StageHealth, StageStatus, StageTiming,
-    TimingSource,
-};
+use super::{StageError, StageHealth, StageStatus};
 use crate::extract::{extract_ewhoring_threads_in, thread_mask, EwhoringSet};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, SyncSender};
-use std::time::{Duration, Instant};
-use worldgen::{partition_spans, World};
+use std::time::Duration;
+use worldgen::partition_spans;
 
 /// How the supervisor reacts to a failing shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +66,7 @@ impl Default for RestartPolicy {
     }
 }
 
-/// Supervision counters for one run (its supervised survey round). Zero
+/// Supervision counters for one supervised round — a run's survey. Zero
 /// everywhere on an unsharded run (and stripped from determinism
 /// snapshots alongside `timings`, since a restart is a scheduling
 /// event, not a measurement).
@@ -102,17 +93,6 @@ pub struct ShardPoison {
     pub panics: u32,
     /// `>= 1.0`: every attempt fails outright (typed error).
     pub severity: f64,
-}
-
-/// Per-round supervision tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Shard tasks dispatched this round.
-    pub run: usize,
-    /// Shards restarted at least once this round.
-    pub restarted: usize,
-    /// Shards quarantined this round.
-    pub quarantined: usize,
 }
 
 /// Terminal state of one shard after a supervised round.
@@ -150,15 +130,14 @@ impl Supervisor {
     /// `Err` is reported to the supervisor, which either re-dispatches
     /// attempt `n + 1` after `backoff × (n + 1)` or — once the budget
     /// is spent — quarantines the shard by dropping its mailbox.
-    pub fn run_round<T, F>(&self, shards: usize, task: F) -> (Vec<RoundOutcome<T>>, RoundStats)
+    pub fn run_round<T, F>(&self, shards: usize, task: F) -> (Vec<RoundOutcome<T>>, Supervision)
     where
         T: Send,
         F: Fn(usize, u32) -> Result<T, String> + Sync,
     {
-        let mut stats = RoundStats {
-            run: shards,
-            restarted: 0,
-            quarantined: 0,
+        let mut stats = Supervision {
+            shards_run: shards,
+            ..Supervision::default()
         };
         if shards == 0 {
             return (Vec::new(), stats);
@@ -202,7 +181,7 @@ impl Supervisor {
                         mailboxes[s] = None;
                         pending -= 1;
                         if attempt > 0 {
-                            stats.restarted += 1;
+                            stats.shards_restarted += 1;
                         }
                     }
                     Err(_) if attempt < self.policy.max_restarts => {
@@ -220,9 +199,9 @@ impl Supervisor {
                         });
                         mailboxes[s] = None;
                         pending -= 1;
-                        stats.quarantined += 1;
+                        stats.shards_quarantined += 1;
                         if attempt > 0 {
-                            stats.restarted += 1;
+                            stats.shards_restarted += 1;
                         }
                     }
                 }
@@ -278,35 +257,39 @@ fn poison_check(poison: Option<ShardPoison>, shard: usize, attempt: u32) -> Resu
     Ok(())
 }
 
-/// The sharded pipeline driver (invoked by [`Pipeline::run`] when
-/// `options.shards > 0`): supervised per-forum survey round, merge
-/// coordinator, then the rest of the stage graph on the coordinator.
-pub(super) fn run_sharded(
-    options: PipelineOptions,
-    world: &World,
-) -> Result<PipelineReport, StageError> {
-    let shards = options.shards.max(1);
-    let mut ctx = StageCtx::new(world, options);
+/// The sharded corpus survey: what the `extract` stage runs when
+/// `options.shards > 0`. A supervised round fans the survey out per
+/// forum span, and the merge coordinator writes the extraction set and
+/// the pre-folded `actors` carry, with its cursors at the end of the
+/// corpus.
+pub(crate) fn survey(ctx: &mut StageCtx<'_>) -> Result<(), StageError> {
+    let shards = ctx.options.shards;
+    let world = ctx.world;
     let corpus = &world.corpus;
     let plan = ctx.corruption;
+    let poison = ctx.options.poison;
     let supervisor = Supervisor::new(RestartPolicy::default());
     let spans = partition_spans(corpus.forums().len(), shards);
 
-    // ---- survey round (the sharded `extract` stage) ----
     // Each shard runs the `extract` stage's filter and the `actors`
     // carry's folds over its forum span. Extraction, corruption draws
     // and both folds are per-forum independent, so the partials merge
-    // into exactly the unsharded artifacts.
-    let t = Instant::now();
-    let poison = options.poison;
+    // into exactly the unsharded artifacts. The span folds need the
+    // world as generated (ids forum by forum) folded in one slice.
     let forum_of_thread = |th: &crimebb::Thread| corpus.board(th.board).forum.index();
     let forum_of_post = |p: &crimebb::Post| forum_of_thread(corpus.thread(p.thread));
-    assert!(
-        corpus.threads().is_sorted_by_key(forum_of_thread)
-            && corpus.posts().is_sorted_by_key(forum_of_post),
-        "the shard driver needs the world as generated: ids forum by forum"
-    );
-    let (outcomes, stats) = supervisor.run_round(shards, |s, attempt| {
+    if ctx.options.stream.is_some()
+        || !corpus.threads().is_sorted_by_key(forum_of_thread)
+        || !corpus.posts().is_sorted_by_key(forum_of_post)
+    {
+        return Err(StageError::CorruptArtifact {
+            path: "shard".to_string(),
+            reason: "the shard survey folds the world as generated in one slice; \
+                     a streamed run cannot shard"
+                .to_string(),
+        });
+    }
+    let (outcomes, supervision) = supervisor.run_round(shards, |s, attempt| {
         poison_check(poison, s, attempt)?;
         let forums = &spans[s];
         let mut set = extract_ewhoring_threads_in(corpus, forums.clone());
@@ -322,11 +305,7 @@ pub(super) fn run_sharded(
         part.fold_ce_threads(corpus, id_range(corpus.threads(), forum_of_thread, forums));
         Ok((set, quarantined, part))
     });
-    ctx.supervision = Supervision {
-        shards_run: stats.run,
-        shards_restarted: stats.restarted,
-        shards_quarantined: stats.quarantined,
-    };
+    ctx.supervision = supervision;
 
     // ---- merge coordinator ----
     // Extraction rows always cover every forum in corpus order; a
@@ -367,26 +346,12 @@ pub(super) fn run_sharded(
         });
     }
     let set = EwhoringSet { per_forum };
-    let items = set.len();
-    finish(&mut ctx, set, records)?;
-    ctx.timings.push(StageTiming {
-        stage: "extract".to_string(),
-        wall_us: t.elapsed().as_micros(),
-        items,
-        source: TimingSource::Computed,
-    });
+    ctx.note_items(set.len());
+    finish(ctx, set, records)?;
     actors.cursor = corpus.posts().len();
     actors.ce_cursor = corpus.threads().len();
     carry_mut(&mut ctx.carry)?.actors = actors;
-
-    // ---- coordinator-side tail ----
-    // Crawl's per-host circuit breakers and request budgets couple
-    // state across forums, so the other stages run unsharded through
-    // the ordinary driver.
-    for stage in Pipeline::stages().into_iter().skip(1) {
-        Pipeline::step(stage.as_ref(), &mut ctx)?;
-    }
-    ctx.into_report()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -416,10 +381,10 @@ mod tests {
         assert_eq!(values, vec![0, 10, 20, 30, 40]);
         assert_eq!(
             stats,
-            RoundStats {
-                run: 5,
-                restarted: 0,
-                quarantined: 0
+            Supervision {
+                shards_run: 5,
+                shards_restarted: 0,
+                shards_quarantined: 0
             }
         );
     }
@@ -439,8 +404,8 @@ mod tests {
         });
         assert!(matches!(outcomes[1], RoundOutcome::Done(1)));
         assert_eq!(attempts.load(Ordering::SeqCst), 2, "one crash, one retry");
-        assert_eq!(stats.restarted, 1);
-        assert_eq!(stats.quarantined, 0);
+        assert_eq!(stats.shards_restarted, 1);
+        assert_eq!(stats.shards_quarantined, 0);
     }
 
     #[test]
@@ -463,7 +428,7 @@ mod tests {
         for s in [0, 1, 3] {
             assert!(matches!(outcomes[s], RoundOutcome::Done(v) if v == s));
         }
-        assert_eq!(stats.quarantined, 1);
+        assert_eq!(stats.shards_quarantined, 1);
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! are quarantined (stage, record key, error kind) and dropped from the
 //! extraction set; at severity `0.0` the plan is inert and the set is
 //! byte-identical to the uncorrupted pipeline.
+//!
+//! With `options.shards > 0` the stage fans its survey out per forum
+//! across supervised shard workers ([`shard::survey`]), which also
+//! pre-fold the `actors` carry over each forum span.
 
 use crate::extract::{extract_ewhoring_threads, EwhoringSet};
 use crate::pipeline::corruption::{CorruptionPlan, RecordErrorKind};
-use crate::pipeline::{Stage, StageCtx, StageError};
+use crate::pipeline::{shard, Stage, StageCtx, StageError};
 use crimebb::Corpus;
 
-/// Produces `extraction` and `all_threads`.
+/// Produces `extraction` and `all_threads` (and, sharded, the `actors`
+/// carry's folds).
 pub struct ExtractStage;
 
 impl Stage for ExtractStage {
@@ -21,6 +26,9 @@ impl Stage for ExtractStage {
     }
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), StageError> {
+        if ctx.options.shards > 0 {
+            return shard::survey(ctx);
+        }
         let mut set = extract_ewhoring_threads(&ctx.world.corpus);
         let quarantined = drop_corrupt_rows(&ctx.world.corpus, &ctx.corruption, &mut set);
         let records = quarantined.len();

@@ -5,7 +5,7 @@
 //! once instead of one small batch per pack (most packs are far below
 //! the serial-fallback threshold, which used to keep them all serial).
 //! The flat results are re-split per source by
-//! [`MeasuredImages::from_flat`], keyed by [`ImageRef`] from then on.
+//! [`MeasuredImages::try_from_flat`], keyed by [`ImageRef`] from then on.
 //!
 //! [`ImageRef`]: crate::pipeline::ImageRef
 

@@ -89,7 +89,7 @@ impl Stage for TopClassifierStage {
                 continue;
             }
             // Each thread's stats and tokens, derived once for the
-            // bootstrap, the decisions and the text index alike.
+            // bootstrap and the decisions alike.
             let inputs = ThreadInputs::at(&world.corpus, &world.catalog, fresh, cutoff, workers);
             // The model trains at the first bucket with an annotation
             // sample; a failed attempt draws nothing from the rng, so
@@ -102,9 +102,6 @@ impl Stage for TopClassifierStage {
             carry
                 .decisions
                 .extend(fresh.iter().zip(decided).map(|(&t, (ml, h))| (t, ml, h)));
-            // Delta text-index update: only the new threads' tokens are
-            // counted; vocabulary ids are append-stable.
-            carry.index.fold(&inputs.tokens, workers);
         }
         carry.epoch = spec.upto;
         if carry.model.is_none() {
@@ -132,14 +129,13 @@ impl Stage for TopClassifierStage {
             classify_input.iter().all(|t| by_thread.contains_key(t)),
             "every thread is decided"
         );
-        let mut topcls = tally(
+        let topcls = tally(
             carry.model.as_ref(),
             classify_input,
             classify_input
                 .iter()
                 .map(|t| by_thread.get(t).copied().unwrap_or((false, false))),
         );
-        topcls.stream_index = Some(carry.index.stats());
         let items = classify_input.len();
         let set = require(&ctx.extraction, "extraction")?;
         let forums = forum_rows(&world.corpus, set, &topcls.detected);

@@ -53,19 +53,6 @@ fn heuristic_says_top(s: &ThreadStats) -> bool {
     s.top_kw >= 2.0 && s.question_marks == 0.0 && s.request_kw == 0.0
 }
 
-/// Text-index diagnostics of the classifier fold: the incrementally
-/// maintained corpus vocabulary / document-frequency table (vocab union
-/// + new-doc rows per slice, never a from-scratch rebuild).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StreamIndexStats {
-    /// Terms in the incrementally unioned vocabulary.
-    pub terms: usize,
-    /// Documents (first-sight thread texts) folded into the index.
-    pub docs: usize,
-    /// Sum of the IDF table — a cheap fingerprint of the whole index.
-    pub idf_checksum: f64,
-}
-
 /// Evaluation and application results of the hybrid classifier. The
 /// default is the artifact of a run with nothing to classify yet: no
 /// detections, zero counts and default metrics.
@@ -87,10 +74,6 @@ pub struct TopClassification {
     pub heuristic_count: usize,
     /// Flagged by both (paper: 1 995).
     pub both_count: usize,
-    /// Incremental text-index diagnostics. The stage always fills it
-    /// in; it stays an `Option` so reports serialized without it still
-    /// load.
-    pub stream_index: Option<StreamIndexStats>,
 }
 
 /// Selects the annotation sample: a mix of lexicon-promising threads and a
@@ -267,7 +250,7 @@ pub fn decide(
 /// Tallies `(ml, heuristic)` decisions, one per thread of `threads` in
 /// order, into the §4.1 artifact: a thread is a detected TOP when either
 /// side flags it. The held-out metrics come from `model`, and stay
-/// default without one. `stream_index` is left for the caller.
+/// default without one.
 pub fn tally(
     model: Option<&BootstrapModel>,
     threads: &[ThreadId],

@@ -66,35 +66,6 @@ impl Vocabulary {
         &self.terms[id]
     }
 
-    /// Unions previously-unseen terms from `docs` into the vocabulary
-    /// and returns how many were added. Existing term ids are untouched;
-    /// new terms are appended after them in sorted order, so a
-    /// vocabulary grown batch by batch assigns the *same* ids no matter
-    /// where the batch boundaries fall — the delta-update primitive of
-    /// the epoch pipeline. Deltas carry no `min_df` filter: every new
-    /// term of the batch enters (a streaming index cannot know a term's
-    /// final document frequency up front).
-    pub fn extend<'a, I, D>(&mut self, docs: I) -> usize
-    where
-        I: IntoIterator<Item = D>,
-        D: IntoIterator<Item = &'a String>,
-    {
-        let mut fresh: Vec<&String> = docs
-            .into_iter()
-            .flatten()
-            .filter(|t| !self.index.contains_key(*t))
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        let added = fresh.len();
-        for t in fresh {
-            let id = self.terms.len();
-            self.terms.push(t.clone());
-            self.index.insert(t.clone(), id);
-        }
-        added
-    }
-
     /// Sparse term counts of one tokenised document, sorted by term id.
     pub fn count(&self, tokens: &[String]) -> Vec<(usize, f64)> {
         let mut counts: HashMap<usize, f64> = HashMap::new();
@@ -142,39 +113,6 @@ impl DocTermMatrix {
     pub fn n_docs(&self) -> usize {
         self.rows.len()
     }
-
-    /// Appends counted rows for `docs` (new documents only) and widens
-    /// the matrix to `vocab`'s current size. Counting a document against
-    /// the vocabulary *as of its own batch* equals counting it against
-    /// any later vocabulary grown via [`Vocabulary::extend`] — term ids
-    /// are append-stable and a document's terms always enter with their
-    /// own batch — so a matrix grown epoch by epoch is identical to a
-    /// from-scratch build over the full corpus with the final vocabulary.
-    pub fn append_docs(&mut self, vocab: &Vocabulary, docs: &[Vec<String>]) {
-        self.append_docs_par(vocab, docs, 1);
-    }
-
-    /// [`Self::append_docs`] across `workers` threads (0 = all cores);
-    /// rows land in document order at every worker count.
-    pub fn append_docs_par(&mut self, vocab: &Vocabulary, docs: &[Vec<String>], workers: usize) {
-        self.rows
-            .extend(parkit::par_map(docs, workers, |d| vocab.count(d)));
-        self.n_terms = vocab.len();
-    }
-
-    /// Folds this matrix's rows (from `from_row` on) into running
-    /// document-frequency counts, widening `df` to the current term
-    /// count. With `from_row` tracking how many rows were already
-    /// folded, an epoch advance pays O(new rows + vocab) instead of
-    /// re-scanning the whole matrix.
-    pub fn accumulate_df(&self, df: &mut Vec<usize>, from_row: usize) {
-        df.resize(self.n_terms, 0);
-        for row in &self.rows[from_row..] {
-            for &(id, _) in row {
-                df[id] += 1;
-            }
-        }
-    }
 }
 
 /// TF-IDF weights fitted on a training matrix.
@@ -219,22 +157,6 @@ impl TfIdf {
             .map(|d| ((1.0 + n) / (1.0 + d as f64)).ln() + 1.0)
             .collect();
         TfIdf { idf }
-    }
-
-    /// Fits IDF weights directly from document-frequency counts — the
-    /// incremental refit path: carry `df` across epochs (see
-    /// [`DocTermMatrix::accumulate_df`]) and rebuild the weights in
-    /// O(vocab). Bitwise-identical to [`TfIdf::fit`] on a matrix with
-    /// the same `df` and document count, because the weight of a term is
-    /// a pure function of `(df, n_docs)`.
-    pub fn fit_from_df(df: &[usize], n_docs: usize) -> TfIdf {
-        let n = n_docs as f64;
-        TfIdf {
-            idf: df
-                .iter()
-                .map(|&d| ((1.0 + n) / (1.0 + d as f64)).ln() + 1.0)
-                .collect(),
-        }
     }
 
     /// Number of terms this transformer covers.
@@ -358,62 +280,6 @@ mod tests {
             assert_eq!(tfidf.idf, fit_p.idf, "workers={workers}");
             assert_eq!(rows, tfidf.transform_par(&dtm_p, workers));
         }
-    }
-
-    /// The delta-update contract: growing vocab + matrix + df batch by
-    /// batch is bitwise-identical to a from-scratch build over the full
-    /// corpus with the same (chain-built) vocabulary — regardless of
-    /// where the batch boundaries fall.
-    #[test]
-    fn incremental_chain_matches_from_scratch_build() {
-        let all: Vec<Vec<String>> = (0..240)
-            .map(|i| {
-                tokenize_with_stopwords(&format!(
-                    "pack pics epoch{} common selling doc{}",
-                    i / 80, // terms that first appear mid-stream
-                    i % 23
-                ))
-            })
-            .collect();
-        for boundaries in [vec![80, 160, 240], vec![1, 239, 240], vec![240]] {
-            let mut vocab = Vocabulary::default();
-            let mut dtm = DocTermMatrix::default();
-            let mut df: Vec<usize> = Vec::new();
-            let mut done = 0;
-            for &end in &boundaries {
-                let batch = &all[done..end];
-                vocab.extend(batch.iter().map(|d| d.iter()));
-                let folded = dtm.n_docs();
-                dtm.append_docs_par(&vocab, batch, 3);
-                dtm.accumulate_df(&mut df, folded);
-                done = end;
-            }
-            let scratch = DocTermMatrix::from_docs(&vocab, &all);
-            assert_eq!(dtm.rows, scratch.rows, "boundaries {boundaries:?}");
-            assert_eq!(dtm.n_terms, scratch.n_terms);
-            let incremental = TfIdf::fit_from_df(&df, dtm.n_docs());
-            let full = TfIdf::fit(&scratch);
-            assert_eq!(incremental.idf, full.idf, "boundaries {boundaries:?}");
-        }
-    }
-
-    #[test]
-    fn extend_keeps_existing_ids_stable() {
-        let d = docs();
-        let mut v = Vocabulary::build(d.iter().map(|x| x.iter()), 1);
-        let before: Vec<(String, usize)> =
-            (0..v.len()).map(|i| (v.term(i).to_string(), i)).collect();
-        let batch = vec![tokenize_with_stopwords("pack zebra aardvark")];
-        let added = v.extend(batch.iter().map(|x| x.iter()));
-        assert_eq!(added, 2, "'pack' is already known");
-        for (term, id) in before {
-            assert_eq!(v.id(&term), Some(id), "old id moved for {term}");
-        }
-        // New terms append after the old block, sorted within the batch.
-        assert!(v.id("aardvark").unwrap() < v.id("zebra").unwrap());
-        assert!(v.id("aardvark").unwrap() >= v.len() - 2);
-        // Extending with only known terms is a no-op.
-        assert_eq!(v.extend(batch.iter().map(|x| x.iter())), 0);
     }
 
     #[test]

@@ -5,18 +5,27 @@
 //! survive, exactly like a crash at that boundary), resume from the
 //! journal, and assert the final report is byte-identical to an
 //! uninterrupted run — with fault injection *and* corruption injection
-//! active, at both a serial and an awkward worker count.
+//! active, at both a serial and an awkward worker count. The serial
+//! matrix also runs sharded, poisoned-shard and streamed specs: every
+//! run form goes through the same journaled stage loop.
 
-use ewhoring_core::pipeline::{Pipeline, PipelineOptions, TimingSource};
+use ewhoring_core::pipeline::{
+    stream_world, Pipeline, PipelineOptions, ShardPoison, StageCtx, StreamSpec, TimingSource,
+};
 use std::fs;
 use std::path::{Path, PathBuf};
 use worldgen::{World, WorldConfig};
 
-/// The canonical snapshot: serialized report minus wall-clock timings.
+/// The canonical snapshot: serialized report minus wall-clock timings
+/// and the supervision counters (a resumed sharded run loads its survey
+/// from the journal instead of dispatching shards; restarts are
+/// scheduling events, not measurements).
 fn snapshot(report: &ewhoring_core::PipelineReport) -> String {
     let json = serde_json::to_string(report).expect("json");
     let mut v: serde_json::Value = serde_json::from_str(&json).expect("parse");
-    v.as_object_mut().expect("object").remove("timings");
+    let obj = v.as_object_mut().expect("object");
+    obj.remove("timings");
+    obj.remove("supervision");
     v.to_string()
 }
 
@@ -81,14 +90,43 @@ fn loaded_stages(report: &ewhoring_core::PipelineReport) -> usize {
         .count()
 }
 
-fn kill_matrix(workers: usize, tag: &str) {
+/// The kill matrix's world: the world as generated, or the
+/// feed-normalized world of a streamed spec (what every run of that
+/// spec folds).
+fn world_for(options: &PipelineOptions) -> World {
     let world = World::generate(WorldConfig::test_scale(0x4E5));
-    let pipe = Pipeline::new(options(workers));
+    match options.stream {
+        Some(stream) => stream_world(world, stream),
+        None => world,
+    }
+}
+
+/// The `actors` carry a run ends with, serialized: the fold state behind
+/// Tables 7–10, including counters no artifact shows.
+fn actors_carry(ctx: &StageCtx<'_>) -> String {
+    let carry = ctx.carry.as_ref().expect("stages keep the carry");
+    serde_json::to_string(&carry.actors).expect("carry serializes")
+}
+
+fn kill_matrix(options: PipelineOptions, tag: &str) {
+    let workers = options.workers;
+    let world = world_for(&options);
+    let pipe = Pipeline::new(options);
     let n_stages = Pipeline::stages().len();
 
     // Uninterrupted, journal-free run: the reference every resumed run
     // must reproduce byte-for-byte.
-    let reference = snapshot(&pipe.run(&world));
+    let ctx = pipe
+        .run_prefix(&world, usize::MAX)
+        .expect("uninterrupted run");
+    let reference_carry = actors_carry(&ctx);
+    let uninterrupted = ctx.into_report().expect("uninterrupted report");
+    assert_eq!(
+        uninterrupted.supervision.shards_quarantined,
+        usize::from(options.poison.is_some()),
+        "a poisoned spec degrades by exactly its one shard ({tag})"
+    );
+    let reference = snapshot(&uninterrupted);
 
     // A full journaled run both checks the journaling path itself and
     // produces the complete journal the kill matrix slices prefixes of.
@@ -106,13 +144,26 @@ fn kill_matrix(workers: usize, tag: &str) {
     for k in 0..=n_stages {
         let dir = temp_dir(&format!("{tag}-k{k}"));
         copy_prefix(&full_dir, &dir, k);
-        let resumed = pipe
-            .run_resumable(&world, &dir)
+        let ctx = pipe
+            .run_prefix_resumable(&world, usize::MAX, &dir)
             .expect("resume from prefix");
+        // Where `actors` recomputes, it must fold exactly the carry the
+        // uninterrupted run folds. An actor posts only in its own
+        // forum, so a lost shard's refolded posts would move only
+        // counters of actors without eWhoring posts, which no artifact
+        // reports: the carry is the place they show.
+        if k < n_stages {
+            assert_eq!(
+                actors_carry(&ctx),
+                reference_carry,
+                "resume after {k} journaled stage(s) folded another `actors` carry ({tag})"
+            );
+        }
+        let resumed = ctx.into_report().expect("resumed report");
         assert_eq!(
             snapshot(&resumed).as_bytes(),
             reference.as_bytes(),
-            "resume after {k} journaled stage(s) diverged (workers={workers})"
+            "resume after {k} journaled stage(s) diverged ({tag}, workers={workers})"
         );
         assert_eq!(
             loaded_stages(&resumed),
@@ -124,14 +175,45 @@ fn kill_matrix(workers: usize, tag: &str) {
     let _ = fs::remove_dir_all(&full_dir);
 }
 
+/// Batch, sharded, poisoned-shard and streamed specs. The poisoned
+/// spec loses shard 1's forums to quarantine, so its journaled
+/// `extract` record must carry the survey's pre-folded `actors` carry:
+/// a resume that refolded the whole corpus would fold the lost forums'
+/// posts back in.
 #[test]
 fn kill_and_resume_at_every_boundary_serial() {
-    kill_matrix(1, "w1");
+    kill_matrix(options(1), "w1");
+    kill_matrix(
+        PipelineOptions {
+            shards: 2,
+            ..options(1)
+        },
+        "w1-shards2",
+    );
+    kill_matrix(
+        PipelineOptions {
+            shards: 3,
+            poison: Some(ShardPoison {
+                shard: 1,
+                panics: 0,
+                severity: 1.0,
+            }),
+            ..options(1)
+        },
+        "w1-poisoned",
+    );
+    kill_matrix(
+        PipelineOptions {
+            stream: Some(StreamSpec { epochs: 3, upto: 3 }),
+            ..options(1)
+        },
+        "w1-epochs3",
+    );
 }
 
 #[test]
 fn kill_and_resume_at_every_boundary_awkward_workers() {
-    kill_matrix(7, "w7");
+    kill_matrix(options(7), "w7");
 }
 
 /// A tampered journal record must be rejected — and rejection means

@@ -3,7 +3,9 @@
 //! deduplication of concurrent identical requests, and run-key
 //! isolation between different specs.
 
-use ewhoring_core::pipeline::{snapshot_json, Pipeline, RunCache, RunSpec, TimingSource};
+use ewhoring_core::pipeline::{
+    snapshot_json, stream_world, Pipeline, RunCache, RunSpec, TimingSource,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use worldgen::World;
@@ -28,53 +30,74 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// The spec's report computed directly, without any cache or journal —
-/// the ground truth a cached run must match byte-for-byte.
+/// the ground truth a cached run must match byte-for-byte. A streamed
+/// spec runs over its feed-normalized world.
 fn direct_snapshot(spec: &RunSpec) -> String {
-    let world = World::generate(spec.world_config());
-    let report = Pipeline::new(spec.options()).run(&world);
+    let options = spec.options();
+    let mut world = World::generate(spec.world_config());
+    if let Some(stream) = options.stream {
+        world = stream_world(world, stream);
+    }
+    let report = Pipeline::new(options).run(&world);
     snapshot_json(&report).expect("snapshot renders")
 }
 
+/// Batch, sharded and streamed specs alike: every run form journals
+/// through the same stage loop, so each is served from the journal on
+/// its second request.
 #[test]
 fn second_identical_run_is_served_entirely_from_the_journal() {
-    let dir = tmp_dir("sequential");
-    let spec = tiny(0x5E0);
+    let batch = tiny(0x5E0);
+    let specs = [
+        ("batch", batch),
+        ("sharded", RunSpec { shards: 2, ..batch }),
+        ("streamed", RunSpec { epochs: 3, ..batch }),
+    ];
+    for (tag, spec) in specs {
+        let dir = tmp_dir(&format!("sequential-{tag}"));
 
-    // First run: a fresh cache over an empty journal computes every
-    // stage.
-    let first = RunCache::with_journal(&dir)
-        .get_or_compute(&spec)
-        .expect("first run");
-    assert!(first.fresh);
-    assert!(first
-        .report
-        .timings
-        .iter()
-        .filter(|t| t.stage != "journal")
-        .all(|t| t.source == TimingSource::Computed));
+        // First run: a fresh cache over an empty journal computes every
+        // stage.
+        let first = RunCache::with_journal(&dir)
+            .get_or_compute(&spec)
+            .expect("first run");
+        assert!(first.fresh);
+        assert!(
+            first
+                .report
+                .timings
+                .iter()
+                .filter(|t| t.stage != "journal")
+                .all(|t| t.source == TimingSource::Computed),
+            "{tag}: a fresh journal computes every stage"
+        );
 
-    // Second run through a *new* cache (a restarted server, a later
-    // batch invocation): every stage loads from the journal — 100%
-    // `TimingSource::Journal` — and the snapshot is byte-identical.
-    let second = RunCache::with_journal(&dir)
-        .get_or_compute(&spec)
-        .expect("second run");
-    assert!(
-        second
-            .report
-            .timings
-            .iter()
-            .all(|t| t.source == TimingSource::Journal),
-        "expected every stage journal-loaded, got {:?}",
-        second.report.timings
-    );
-    assert_eq!(
-        snapshot_json(&first.report).expect("snapshot"),
-        snapshot_json(&second.report).expect("snapshot"),
-        "journal-served report must match the computed one"
-    );
+        // Second run through a *new* cache (a restarted server, a later
+        // batch invocation): every stage loads from the journal — 100%
+        // `TimingSource::Journal` — and the snapshot is byte-identical,
+        // to the computed run and to a direct journal-free run.
+        let second = RunCache::with_journal(&dir)
+            .get_or_compute(&spec)
+            .expect("second run");
+        assert!(
+            second
+                .report
+                .timings
+                .iter()
+                .all(|t| t.source == TimingSource::Journal),
+            "{tag}: expected every stage journal-loaded, got {:?}",
+            second.report.timings
+        );
+        let served = snapshot_json(&second.report).expect("snapshot");
+        assert_eq!(
+            snapshot_json(&first.report).expect("snapshot"),
+            served,
+            "{tag}: journal-served report must match the computed one"
+        );
+        assert_eq!(served, direct_snapshot(&spec), "{tag}");
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
