@@ -110,7 +110,15 @@ bench-epoch:
 # Epoch smoke test wired into `make verify`: a small-scale incremental
 # run must produce a byte-identical snapshot to the one-shot batch run
 # of the same streamed spec (warm advance ≡ fresh recompute), and the
-# final-epoch delta must clear the smoke floor. The second pair streams
+# final-epoch delta must clear the smoke floor. The engine journals
+# epoch e under the run key of the one-shot `--upto e` run, so the two
+# share records: a one-shot `--upto 2` run killed after four stages is
+# finished by an incremental run (epoch 2 loads those four stages), and
+# then `--upto 2 --resume` loads all nine stages, computing none, and
+# must equal a fresh `--upto 2` run. A one-shot run of epoch 3 must not
+# carry a later `--incremental --upto 2` past epoch 2: it advances to 2,
+# a rerun resumes there from the journal, and both equal the fresh
+# `--upto 2` run. The second pair streams
 # a world whose first epoch has nothing to annotate, so the classifier
 # trains at a later epoch (DESIGN.md §6h): both runs must exit 0 and
 # agree byte for byte.
@@ -123,6 +131,29 @@ smoke-epoch: build
 	./target/release/report 0.02 0xE70C --epochs 3 \
 		--snapshot-json .journals/smoke-epoch/full.json > /dev/null
 	cmp .journals/smoke-epoch/incremental.json .journals/smoke-epoch/full.json
+	./target/release/report 0.02 0xE70C --epochs 3 --upto 2 \
+		--journal-dir .journals/smoke-epoch/shared --stop-after 4 > /dev/null 2> /dev/null
+	./target/release/report 0.02 0xE70C --epochs 3 --incremental \
+		--journal-dir .journals/smoke-epoch/shared \
+		--snapshot-json .journals/smoke-epoch/shared-incremental.json > /dev/null
+	cmp .journals/smoke-epoch/shared-incremental.json .journals/smoke-epoch/full.json
+	./target/release/report 0.02 0xE70C --epochs 3 --upto 2 \
+		--journal-dir .journals/smoke-epoch/shared --resume \
+		--snapshot-json .journals/smoke-epoch/shared-resumed.json \
+		> /dev/null 2> .journals/smoke-epoch/shared-resumed.log
+	grep -q '\[journal\]' .journals/smoke-epoch/shared-resumed.log
+	! grep -q '\[computed\]' .journals/smoke-epoch/shared-resumed.log
+	./target/release/report 0.02 0xE70C --epochs 3 --upto 2 \
+		--snapshot-json .journals/smoke-epoch/upto2.json > /dev/null
+	cmp .journals/smoke-epoch/shared-resumed.json .journals/smoke-epoch/upto2.json
+	./target/release/report 0.02 0xE70C --epochs 3 \
+		--journal-dir .journals/smoke-epoch/later > /dev/null 2> /dev/null
+	for run in advanced resumed; do \
+		./target/release/report 0.02 0xE70C --epochs 3 --upto 2 --incremental \
+			--journal-dir .journals/smoke-epoch/later \
+			--snapshot-json .journals/smoke-epoch/later-$$run.json > /dev/null || exit 1; \
+		cmp .journals/smoke-epoch/later-$$run.json .journals/smoke-epoch/upto2.json || exit 1; \
+	done
 	./target/release/report 0.05 $(UNTRAINED_SEED) --epochs 20 --incremental \
 		--journal-dir .journals/smoke-epoch/journal-untrained \
 		--snapshot-json .journals/smoke-epoch/untrained-incremental.json > /dev/null

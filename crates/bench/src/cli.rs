@@ -337,6 +337,16 @@ fn parse_report(args: &[String]) -> Result<ReportArgs, CliError> {
     if out.incremental && out.stop_after.is_some() {
         return err("`--stop-after` stops the stage loop; `--incremental` advances epochs instead");
     }
+    if out.journal_dir.is_none() {
+        if out.stop_after.is_some() {
+            return err(
+                "`--stop-after` requires `--journal-dir PATH` (it checkpoints the stages it ran)",
+            );
+        }
+        if out.resume {
+            return err("`--resume` requires `--journal-dir PATH` (it resumes from the journal)");
+        }
+    }
     out.spec.validate().map_err(CliError)?;
     match poison_shard {
         Some(shard) => {
@@ -701,6 +711,16 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.0.contains("--stop-after"), "{e}");
+        // Both journal flags mean nothing without a journal: refused,
+        // not silently ignored by a full run.
+        for flag in [&["--stop-after", "2"][..], &["--resume"][..]] {
+            let argv: Vec<&str> = ["0.02", "1"].iter().chain(flag).copied().collect();
+            let e = Command::parse(&args(&argv)).unwrap_err();
+            assert!(
+                e.0.contains(flag[0]) && e.0.contains("--journal-dir"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -121,13 +121,17 @@ fn f64_field(map: &serde::Map, name: &str, default: f64) -> Result<f64, String> 
     }
 }
 
-fn u64_field(map: &serde::Map, name: &str, default: u64) -> Result<u64, String> {
-    match map.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("field `{name}` must be a non-negative integer")),
-    }
+/// Reads one optional non-negative integer field, defaulting when
+/// absent. A value that does not fit the spec field's type is an error,
+/// never a silent truncation.
+fn int_field<T: TryFrom<u64>>(map: &serde::Map, name: &str, default: T) -> Result<T, String> {
+    let Some(v) = map.get(name) else {
+        return Ok(default);
+    };
+    let n = v
+        .as_u64()
+        .ok_or_else(|| format!("field `{name}` must be a non-negative integer"))?;
+    T::try_from(n).map_err(|_| format!("field `{name}` is out of range: {n}"))
 }
 
 /// Decodes a run spec from a `run` request; every field is optional and
@@ -137,13 +141,13 @@ fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
     let defaults = RunSpec::default();
     let spec = RunSpec {
         scale: f64_field(map, "scale", defaults.scale)?,
-        seed: u64_field(map, "seed", defaults.seed)?,
-        workers: u64_field(map, "workers", defaults.workers as u64)? as usize,
+        seed: int_field(map, "seed", defaults.seed)?,
+        workers: int_field(map, "workers", defaults.workers)?,
         faults: f64_field(map, "faults", defaults.faults)?,
         corruption: f64_field(map, "corruption", defaults.corruption)?,
-        epochs: u64_field(map, "epochs", defaults.epochs as u64)? as u32,
-        upto: u64_field(map, "upto", defaults.upto as u64)? as u32,
-        shards: u64_field(map, "shards", defaults.shards as u64)? as usize,
+        epochs: int_field(map, "epochs", defaults.epochs)?,
+        upto: int_field(map, "upto", defaults.upto)?,
+        shards: int_field(map, "shards", defaults.shards)?,
     };
     spec.validate()?;
     Ok(spec)
@@ -262,6 +266,19 @@ mod tests {
                 "corruption",
             ),
             (r#"{"cmd":"advance","scale":0,"epochs":3}"#, "scale"),
+            // 2^32 + 1 used to wrap to 1 epoch; a shard past the tenth
+            // forum would be one more OS thread surveying nothing. Both
+            // are refused at decode, before any thread starts.
+            (
+                r#"{"cmd":"run","scale":0.02,"epochs":4294967297}"#,
+                "epochs",
+            ),
+            (
+                r#"{"cmd":"advance","scale":0.02,"epochs":3,"upto":4294967298}"#,
+                "upto",
+            ),
+            (r#"{"cmd":"run","scale":0.02,"shards":11}"#, "shards"),
+            (r#"{"cmd":"run","scale":0.02,"shards":100000000}"#, "shards"),
         ] {
             let e = Request::decode(line).expect_err(line);
             assert!(e.contains(&format!("`{field}`")), "{line}: {e}");

@@ -58,20 +58,22 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
         _ => world,
     };
     let t = Instant::now();
-    // `--incremental` advances the epoch engine, journal-checkpointed
-    // per epoch when `--journal-dir` is given. Every other run — batch,
-    // sharded or streamed — goes through the one stage loop,
-    // stage-journaled when `--journal-dir` is given.
+    // `--incremental` advances the epoch engine; every other run —
+    // batch, sharded or streamed — goes through the one stage loop once.
+    // With `--journal-dir` both stage-journal, and epoch `e` of the
+    // engine shares its records with a one-shot `--upto e` run.
     let mut engine: Option<EpochEngine> = None;
     let mut world = Some(world);
     let report = if args.incremental {
         let held = world.take().expect("world generated above");
-        let built = match &args.journal_dir {
+        // An engine resumed from the journal hands back the report of
+        // the epoch it resumed at (never past `upto`).
+        let (built, resumed) = match &args.journal_dir {
             Some(dir) => {
                 EpochEngine::with_journal(held, spec.epochs, options, std::path::Path::new(dir))
                     .map_err(|e| format!("open epoch journal: {e}"))?
             }
-            None => EpochEngine::new(held, spec.epochs, options),
+            None => (EpochEngine::new(held, spec.epochs, options), None),
         };
         let engine = engine.insert(built);
         let upto = spec.effective_upto();
@@ -82,13 +84,7 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
                 engine.epochs()
             );
         }
-        if engine.epoch() > upto {
-            return Err(format!(
-                "journal is already at epoch {}, past the requested --upto {upto}",
-                engine.epoch()
-            ));
-        }
-        let mut last = None;
+        let mut last = resumed;
         while engine.epoch() < upto {
             let t = Instant::now();
             let report = engine
@@ -102,14 +98,7 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
             );
             last = Some(report);
         }
-        match last {
-            Some(report) => report,
-            // Every requested epoch was already journaled: nothing
-            // to advance, so recompute the report for printing.
-            None => engine
-                .fresh_report()
-                .map_err(|e| format!("recompute resumed epoch: {e}"))?,
-        }
+        last.expect("a streamed spec reports at epoch 1 or later")
     } else {
         let world = world.as_ref().expect("world generated above");
         let pipe = Pipeline::new(options);

@@ -257,15 +257,18 @@ impl Server {
                 let world = World::generate(engine_spec.world_config());
                 let engine = match &self.journal_dir {
                     Some(dir) => {
-                        // Journal-backed: resume from the newest epoch
-                        // checkpoint this directory holds for the spec.
+                        // Journal-backed: resume at the newest epoch this
+                        // directory holds a complete run of. A `run` of
+                        // `{epochs, upto: e}` writes the records an advance
+                        // to `e` does, so it counts as the stream's
+                        // progress too: the engine continues after it.
                         match EpochEngine::with_journal(
                             world,
                             spec.epochs,
                             engine_spec.options(),
                             Path::new(dir),
                         ) {
-                            Ok(engine) => engine,
+                            Ok((engine, _)) => engine,
                             Err(e) => return Response::error(format!("engine init failed: {e}")),
                         }
                     }

@@ -223,6 +223,37 @@ fn advance_over_the_wire_matches_the_batch_stream_snapshot() {
     handle.join().expect("server thread exits");
 }
 
+/// On a journaled server a `run` of `{epochs, upto: e}` writes the
+/// records an advance to `e` writes, so it counts as the stream's
+/// progress: an `advance` engine built afterwards resumes at `e` and
+/// steps on from there.
+#[test]
+fn journaled_run_moves_a_later_advance_engine_forward() {
+    let dir = std::env::temp_dir().join(format!("ewhoring-serve-shared-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_server, handle, addr) = start_server_with(1, Some(dir.to_string_lossy().into_owned()));
+    let spec = RunSpec {
+        epochs: 3,
+        ..tiny(0xAD7)
+    };
+    let mut wire = Wire::connect(&addr);
+    let run = wire.call(&Request::Run(RunSpec { upto: 1, ..spec }));
+    assert!(run.is_ok(), "{:?}", run.error_text());
+    for epoch in 2..=3 {
+        let step = wire.call(&Request::Advance(spec));
+        assert!(step.is_ok(), "{:?}", step.error_text());
+        assert_eq!(
+            step.field("epoch").and_then(serde::Value::as_u64),
+            Some(epoch)
+        );
+    }
+    let past = wire.call(&Request::Advance(spec));
+    assert!(past.error_text().unwrap_or_default().contains("final"));
+    wire.call(&Request::Shutdown);
+    handle.join().expect("server thread exits");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A sharded `run` request routes through the supervised driver, shares
 /// the unsharded spec's run key (shard count is execution topology),
 /// and reports its supervision counters through `health`.

@@ -86,10 +86,12 @@ impl RunSpec {
     /// Rejects specs the pipeline cannot run: a `scale` that is not a
     /// finite number above 0, a `faults` or `corruption` severity that
     /// is not a finite number ≥ 0, an `upto` epoch without a streamed
-    /// (`epochs > 0`) spec, and sharding a streamed spec (the shard
-    /// survey folds the world as generated). The batch CLI and the wire
-    /// decoder both call this, so neither hands the pipeline a spec it
-    /// would refuse.
+    /// (`epochs > 0`) spec, sharding a streamed spec (the shard survey
+    /// folds the world as generated), and more shards than a world has
+    /// forums (each shard is one OS thread, and a shard past the last
+    /// forum would survey nothing). The batch CLI and the wire decoder
+    /// both call this, so neither hands the pipeline a spec it would
+    /// refuse.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.scale.is_finite() && self.scale > 0.0) {
             return Err(format!(
@@ -113,6 +115,13 @@ impl RunSpec {
                  (`--shards` with `--epochs`)"
                     .to_string(),
             );
+        }
+        let forums = worldgen::FORUM_PROFILES.len();
+        if self.shards > forums {
+            return Err(format!(
+                "`shards` must be at most {forums} (one per forum), got {}",
+                self.shards
+            ));
         }
         Ok(())
     }

@@ -6,24 +6,10 @@
 //! slice covering the whole timeline of the world as generated
 //! ([`StreamSpec::WHOLE`]); streaming mode slices the forum feed into
 //! `K` calendar epochs ([`worldgen::Feed`]) and an epoch advance folds a
-//! warm carry over its delta —
-//!
-//! * `top_classifier`: the bootstrap-frozen model (trained once at the
-//!   first boundary with an annotation sample) and first-sight
-//!   decisions per thread;
-//! * `measure_images`: a memo of every `(spec, transform)` pair already
-//!   measured (measures are pure, so memoised values are exact);
-//! * `nsfv`: the validation-set evaluation (pure in the seed);
-//! * `finance`: a fold cursor over the post list plus the funnel
-//!   counters, whitelist, URL dedup set, proof records, the indices of
-//!   quarantined proofs, and running §5.2 earnings aggregates;
-//! * `provenance`: a memo of every reverse-search outcome keyed
-//!   `(robust hash, post day)` — the reverse index and the Wayback
-//!   archive are static services, so outcomes are pure in the key;
-//! * `actors`: the reply/quote graph grown edge-by-edge, the
-//!   warm-started eigenvector-centrality vector, the per-actor metric
-//!   counters behind Table 8 / Figure 4, and the Currency Exchange
-//!   ledger; Table 7 and the key-actor ranking both read these.
+//! warm carry over its delta. Each stage's carry type below says what
+//! that stage keeps: [`TopclsCarry`], [`MeasureCarry`], the memoised
+//! `nsfv` validation, [`FinanceCarry`], [`ProvenanceCarry`] and
+//! [`ActorsCarry`].
 //!
 //! Each stage reads and writes only its own field, so a run resumed
 //! from the stage journal (fresh carry, earlier stages loaded) computes
@@ -36,14 +22,16 @@
 //! fold and the fresh fold traverse the same data in the same order;
 //! the gate lives in `tests/determinism.rs`.
 //!
-//! [`EpochEngine`] owns the feed, the growing world, and the carry, and
-//! journals the carry at every epoch boundary (the stage journal's
-//! record format), so a killed stream resumes from the last completed
-//! epoch.
+//! [`EpochEngine`] owns the feed, the growing world, and the carry. With
+//! a journal it runs each epoch through the stage journal under the run
+//! key of the streamed spec `{epochs, upto: e}` — every stage record
+//! holds the carry field its stage folds — so a killed stream resumes
+//! from the last journaled stage, and a one-shot run of that spec
+//! shares the engine's records.
 //!
 //! [`StreamSpec::WHOLE`]: super::StreamSpec::WHOLE
 
-use super::journal::{Journal, LoadOutcome, StageRecord};
+use super::journal::Journal;
 use super::{Pipeline, PipelineOptions, PipelineReport, StageError, StreamSpec};
 use crate::actors::ActorFold;
 use crate::finance::{EarningsAgg, EarningsHarvest};
@@ -55,7 +43,7 @@ use imagesim::RobustHash;
 use serde::{Deserialize, Serialize};
 use socgraph::DiGraph;
 use std::collections::HashSet;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use synthrand::Day;
 use textkit::Url;
 use websim::StoredImage;
@@ -190,17 +178,18 @@ pub fn stream_world(world: World, spec: StreamSpec) -> World {
     Feed::new(world, spec.epochs).world_at(spec.upto)
 }
 
-/// Drives a world through its epochs: applies each feed slice, runs the
-/// pipeline with the warm carry, and (optionally) checkpoints
-/// the carry at every boundary so a killed stream resumes from the last
-/// completed epoch instead of epoch 0.
+/// Drives a world through its epochs: applies each feed slice and runs
+/// the stage loop with the warm carry — stage-journaled, when a journal
+/// is attached, under the run key of the streamed spec `{epochs, upto:
+/// e}`, so an advance and a one-shot run of that spec share records and
+/// a killed stream resumes mid-epoch.
 pub struct EpochEngine {
     feed: Feed,
     world: World,
     epoch: u32,
     carry: EpochCarry,
     options: PipelineOptions,
-    journal: Option<Journal>,
+    journal_dir: Option<PathBuf>,
 }
 
 impl EpochEngine {
@@ -215,45 +204,44 @@ impl EpochEngine {
             epoch: 0,
             carry: EpochCarry::default(),
             options,
-            journal: None,
+            journal_dir: None,
         }
     }
 
-    /// [`EpochEngine::new`] with a checkpoint journal under
-    /// `journal_dir`. If a valid carry record exists for this run key,
-    /// the engine resumes from the most recent journaled epoch —
-    /// invalid or stale records are skipped, never trusted.
+    /// [`EpochEngine::new`] with a stage journal under `journal_dir`,
+    /// resumed at the newest epoch whose run reached its last stage —
+    /// never past the epoch `options.stream` reports at (the final one
+    /// if it names none), since a one-shot run of a later epoch shares
+    /// this stream's records. It rebuilds that epoch's world and runs
+    /// the stage loop on a fresh carry (journaled stages load their
+    /// carry fields, the rest recompute: exact by epoch equivalence),
+    /// and returns that epoch's report with the engine. Invalid or
+    /// stale records are recomputed, never trusted.
     pub fn with_journal(
         world: World,
         epochs: u32,
         options: PipelineOptions,
         journal_dir: &Path,
-    ) -> Result<EpochEngine, StageError> {
+    ) -> Result<(EpochEngine, Option<PipelineReport>), StageError> {
         let mut engine = EpochEngine::new(world, epochs, options);
-        let journal = Journal::open(journal_dir, &engine.world.config, &engine.options_at(0))?;
-        for e in (1..=epochs).rev() {
-            let LoadOutcome::Hit(record) = journal.load((e - 1) as usize, &Self::record_name(e))
-            else {
-                continue;
-            };
-            let Ok(carry) = serde_json::from_value::<EpochCarry>(record.artifacts.clone()) else {
-                continue;
-            };
-            for j in 1..=e {
-                engine.feed.apply_epoch(&mut engine.world, j);
+        engine.journal_dir = Some(journal_dir.to_path_buf());
+        let ceiling = options.stream.map_or(epochs, |s| s.upto.min(epochs));
+        for e in (1..=ceiling).rev() {
+            let options = engine.options_at(e);
+            if Journal::open(journal_dir, &engine.world.config, &options)?.reached_the_end() {
+                for j in 1..=e {
+                    engine.feed.apply_epoch(&mut engine.world, j);
+                }
+                let report = engine.run(e)?;
+                return Ok((engine, Some(report)));
             }
-            engine.epoch = e;
-            engine.carry = carry;
-            break;
         }
-        engine.journal = Some(journal);
-        Ok(engine)
+        Ok((engine, None))
     }
 
-    /// The options of a run that sees the feed up to epoch `upto`. The
-    /// journal's run key uses `upto` 0, shared by every epoch of this
-    /// stream, so all boundary checkpoints land in one run directory
-    /// (the epoch index lives in the record name instead).
+    /// The options of a run that sees the feed up to epoch `upto`: those
+    /// of the streamed spec `{epochs, upto}`, whose run key the journal
+    /// uses.
     fn options_at(&self, upto: u32) -> PipelineOptions {
         PipelineOptions {
             stream: Some(StreamSpec {
@@ -264,8 +252,20 @@ impl EpochEngine {
         }
     }
 
-    fn record_name(e: u32) -> String {
-        format!("epoch-{e}")
+    /// Runs the stage loop for epoch `e` on the world as it stands, with
+    /// the engine's carry, through the journal when one is attached.
+    fn run(&mut self, e: u32) -> Result<PipelineReport, StageError> {
+        let options = self.options_at(e);
+        let journal = match &self.journal_dir {
+            Some(dir) => Some(Journal::open(dir, &self.world.config, &options)?),
+            None => None,
+        };
+        let carry = std::mem::take(&mut self.carry);
+        let (report, carry) =
+            Pipeline::new(options).run_with_carry(&self.world, carry, journal.as_ref())?;
+        self.carry = carry;
+        self.epoch = e;
+        Ok(report)
     }
 
     /// Number of epochs in the feed.
@@ -289,10 +289,10 @@ impl EpochEngine {
     }
 
     /// Applies the next feed slice and runs the pipeline with the warm
-    /// carry: the O(delta) advance. Checkpoints the refreshed
-    /// carry when a journal is attached. A hard stage failure poisons
-    /// the engine (the world has already advanced); recover by
-    /// rebuilding via [`EpochEngine::with_journal`].
+    /// carry: the O(delta) advance, stage-journaled when a journal is
+    /// attached. A hard stage failure poisons the engine (the world has
+    /// already advanced); recover by rebuilding via
+    /// [`EpochEngine::with_journal`].
     pub fn advance(&mut self) -> Result<PipelineReport, StageError> {
         assert!(
             self.epoch < self.feed.epochs(),
@@ -300,30 +300,7 @@ impl EpochEngine {
         );
         let e = self.epoch + 1;
         self.feed.apply_epoch(&mut self.world, e);
-        let carry = std::mem::take(&mut self.carry);
-        let (report, carry) =
-            Pipeline::new(self.options_at(e)).run_with_carry(&self.world, carry)?;
-        self.carry = carry;
-        self.epoch = e;
-        if let Some(journal) = &self.journal {
-            let record = StageRecord {
-                artifacts: serde_json::to_value(&self.carry).map_err(|err| {
-                    StageError::CorruptArtifact {
-                        path: Self::record_name(e),
-                        reason: format!("carry does not serialize: {err}"),
-                    }
-                })?,
-                // The epoch's full ledger and health log ride along in
-                // the checkpoint, so the record is a faithful account
-                // of the run that produced the carry (and a resumed
-                // engine's health section can be audited against it).
-                quarantined: report.quarantine.entries().to_vec(),
-                health: report.health.clone(),
-                items: self.feed.epoch_len(e),
-            };
-            journal.save((e - 1) as usize, &Self::record_name(e), &record)?;
-        }
-        Ok(report)
+        self.run(e)
     }
 
     /// Advances until epoch `e` (inclusive), returning the last report
@@ -344,103 +321,7 @@ impl EpochEngine {
     pub fn fresh_report(&self) -> Result<PipelineReport, StageError> {
         assert!(self.epoch >= 1, "no epoch has run yet");
         Ok(Pipeline::new(self.options_at(self.epoch))
-            .run_with_carry(&self.world, EpochCarry::default())?
+            .run_with_carry(&self.world, EpochCarry::default(), None)?
             .0)
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-    use crate::pipeline::journal::run_key;
-
-    #[test]
-    fn carry_round_trips_through_serde() {
-        let mut carry = EpochCarry::default();
-        carry.topcls.epoch = 2;
-        carry.topcls.decisions = vec![(ThreadId(3), true, false), (ThreadId(9), false, true)];
-        carry.finance.cursor = 41;
-        carry.finance.whiteset.insert("imgur.com".to_string());
-        carry
-            .finance
-            .seen_urls
-            .insert(Url::new("i.imgur.com", "/x"));
-        carry.finance.thread_cursor = 17;
-        carry.finance.harvest.earnings_threads = 4;
-        carry.finance.quarantined = vec![3, 8];
-        carry
-            .finance
-            .agg
-            .per_actor
-            .push((crimebb::ActorId(1), 12.5, 2));
-        carry.finance.agg.monthly.push((24_193, 3, 1));
-        carry.finance.agg_cursor = 2;
-        carry.actors.epoch = 2;
-        carry.actors.cursor = 41;
-        carry.actors.graph = DiGraph::with_nodes(3);
-        carry.actors.graph.add_edge(0, 1, 2.0);
-        carry.actors.influence = vec![0.25, 0.5, 0.25];
-        carry.actors.fold.ensure(3);
-        carry
-            .actors
-            .fold
-            .note_post(crimebb::ActorId(1), Day(200), true);
-        carry.actors.ce_cursor = 17;
-        carry
-            .actors
-            .ce_threads
-            .push((crimebb::ActorId(2), ThreadId(5)));
-
-        let value = serde_json::to_value(&carry).unwrap();
-        let back: EpochCarry = serde_json::from_value(value).unwrap();
-        assert_eq!(back.topcls.epoch, 2);
-        assert_eq!(back.topcls.decisions, carry.topcls.decisions);
-        assert_eq!(back.finance.cursor, 41);
-        assert!(back.finance.whiteset.contains("imgur.com"));
-        assert!(back
-            .finance
-            .seen_urls
-            .contains(&Url::new("i.imgur.com", "/x")));
-        assert_eq!(back.finance.thread_cursor, 17);
-        assert_eq!(back.finance.harvest.earnings_threads, 4);
-        assert_eq!(back.finance.quarantined, vec![3, 8]);
-        assert_eq!(back.finance.agg.per_actor, carry.finance.agg.per_actor);
-        assert_eq!(back.finance.agg.monthly, carry.finance.agg.monthly);
-        assert_eq!(back.finance.agg_cursor, 2);
-        assert_eq!(back.actors.graph.edge_count(), 1);
-        assert_eq!(back.actors.influence, carry.actors.influence);
-        assert_eq!(back.actors.fold.ew_posts, carry.actors.fold.ew_posts);
-        assert_eq!(back.actors.fold.first_ew, carry.actors.fold.first_ew);
-        assert_eq!(back.actors.fold.last_post, carry.actors.fold.last_post);
-        assert_eq!(back.actors.ce_cursor, 17);
-        assert_eq!(back.actors.ce_threads, carry.actors.ce_threads);
-        assert!(back.nsfv.is_none());
-    }
-
-    #[test]
-    fn epoch_run_keys_are_shared_across_upto_but_not_with_batch() {
-        let config = worldgen::WorldConfig::test_scale(1);
-        let stream = |upto| PipelineOptions {
-            stream: Some(StreamSpec { epochs: 4, upto }),
-            ..PipelineOptions::default()
-        };
-        // The engine normalises `upto` to 0 for its run key; different
-        // live `upto` values would otherwise scatter checkpoints.
-        assert_eq!(
-            run_key(&config, &stream(0)).unwrap(),
-            run_key(&config, &stream(0)).unwrap()
-        );
-        assert_ne!(
-            run_key(&config, &stream(0)).unwrap(),
-            run_key(&config, &stream(3)).unwrap(),
-            "run_key itself still hashes the full options"
-        );
-        // A batch run must keep its pre-stream key: stripping the null
-        // `stream` field preserves old journal directories.
-        assert_ne!(
-            run_key(&config, &PipelineOptions::default()).unwrap(),
-            run_key(&config, &stream(0)).unwrap()
-        );
     }
 }

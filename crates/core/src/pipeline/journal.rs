@@ -1,17 +1,19 @@
-//! The stage-checkpoint journal behind [`Pipeline::run_resumable`].
-//! Every run form journals through it — batch, sharded and streamed
-//! alike.
+//! The stage-checkpoint journal: the one durable record of every run
+//! form — batch, sharded, streamed, and each epoch the
+//! [`EpochEngine`] advances.
 //!
-//! After each stage completes, its typed artifacts (already `serde`)
-//! are serialized into one file per stage under a run directory keyed
-//! by a hash of the world config plus [`PipelineOptions`] — so journals
-//! from a different seed, scale, or severity can never be resumed by
-//! accident. Each record carries a checksum over its exact payload
+//! After each stage completes, its record is written to one file per
+//! stage under a run directory keyed by a hash of the world config plus
+//! [`PipelineOptions`] — so journals from a different seed, scale, or
+//! severity can never be resumed by accident. A record holds the
+//! stage's artifact slots and the carry field the stage folds (the
+//! `stage_slots` table), plus its ledger entries, health events and
+//! item count. Each record carries a checksum over its exact payload
 //! bytes and is verified on load: a stale, truncated, or tampered
 //! record is *rejected* (and the stage recomputed), never silently
 //! reused.
 //!
-//! Two deliberate non-goals keep the format small:
+//! Three deliberate non-goals keep the format small:
 //!
 //! * `workers` is excluded from the run key — the determinism contract
 //!   (see `tests/determinism.rs`) makes every artifact byte-identical
@@ -21,23 +23,27 @@
 //!   only consumer of `StageCtx::rng` and no stage after it draws, so a
 //!   resume either re-runs it from the fresh seed (identical stream) or
 //!   loads its artifacts and never touches the RNG again.
+//! * each fact is stored once. `measure_images` stores its carry memo
+//!   (one entry per unique `(spec, transform)` pair) and restore looks
+//!   every crawled image up in it; `safety` stores the flagged refs and
+//!   restore re-applies them to the measures (`kept`). The safety gate
+//!   holds a live report log behind a mutex, so the record stores the
+//!   logged [`ReportedItem`]s and restore rebuilds the gate from the
+//!   world's hash list and replays them, which is observationally
+//!   identical — screening depends only on the hash list.
 //!
-//! The safety gate is the one artifact that is not `Serialize` (it
-//! holds a live report log behind a mutex). Its journal record stores
-//! the logged [`ReportedItem`]s; restore reconstructs the gate from the
-//! world's hash list and replays the log, which is observationally
-//! identical — screening depends only on the hash list.
-//!
-//! [`Pipeline::run_resumable`]: super::Pipeline::run_resumable
+//! [`EpochEngine`]: super::EpochEngine
 //! [`PipelineOptions`]: super::PipelineOptions
 
 use super::corruption::QuarantineEntry;
 use super::ctx::{carry_mut, require};
-use super::{PipelineOptions, StageCtx, StageError, StageHealth};
+use super::stages::measure::measures_from_memo;
+use super::{apply_deletions, PipelineOptions, StageCtx, StageError, StageHealth};
 use safety::{ReportedItem, SafetyGate};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use worldgen::WorldConfig;
 
 /// Journal format version; bumped on any incompatible layout change so
@@ -49,8 +55,10 @@ use worldgen::WorldConfig;
 /// carry keeps its quarantined proofs instead of the Table 7 tallies.
 /// Version 4: sharded and streamed runs journal too; a sharded run's
 /// `extract` record also holds the `actors` carry its survey pre-folded,
-/// and `topcls` no longer carries a text-index summary.
-const FORMAT: u32 = 4;
+/// and `topcls` no longer carries a text-index summary. Version 5: every
+/// record holds the carry field its stage folds, `measure_images` stores
+/// its memo instead of per-image measures, and `safety` drops `kept`.
+const FORMAT: u32 = 5;
 
 /// FNV-1a 64-bit over `bytes` — stable, dependency-free content hash
 /// for run keys and record checksums.
@@ -101,20 +109,17 @@ pub fn run_key(config: &WorldConfig, options: &PipelineOptions) -> Result<String
     ))
 }
 
-/// What one stage checkpoint holds: the stage's artifact slots (as one
-/// JSON object keyed by slot name), plus everything else the stage
-/// contributed to the run — its quarantine entries, health events, and
-/// item count — so a resumed run replays them exactly.
+/// What one stage checkpoint holds: the stage's artifact slots and its
+/// carry field (as one JSON object keyed by slot name, the carry under
+/// [`CARRY`]), plus everything else the stage contributed to the run —
+/// its quarantine entries, health events, and item count — so a
+/// resumed run replays them exactly.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StageRecord {
-    /// Slot name → serialized artifact.
-    pub artifacts: serde::Value,
-    /// Ledger entries this stage recorded.
-    pub quarantined: Vec<QuarantineEntry>,
-    /// Health events this stage triggered.
-    pub health: Vec<StageHealth>,
-    /// The stage's `StageTiming::items` count.
-    pub items: usize,
+struct StageRecord {
+    artifacts: serde::Value,
+    quarantined: Vec<QuarantineEntry>,
+    health: Vec<StageHealth>,
+    items: usize,
 }
 
 /// On-disk envelope around a [`StageRecord`]. The payload is embedded
@@ -130,17 +135,9 @@ struct Envelope {
     payload: String,
 }
 
-/// Result of trying to load one stage checkpoint.
-#[derive(Debug)]
-pub enum LoadOutcome {
-    /// A verified record for this exact run and stage.
-    Hit(StageRecord),
-    /// No record on disk (fresh run, or the run was killed earlier).
-    Miss,
-    /// A record exists but failed validation; the caller must recompute
-    /// the stage (and will overwrite the bad record).
-    Rejected(String),
-}
+/// Temp-file counter: with the process id it gives every save its own
+/// temp file, so concurrent writers of one record never share one.
+static SAVES: AtomicU64 = AtomicU64::new(0);
 
 /// A run-scoped checkpoint journal: one directory per run key, one
 /// verified JSON record per completed stage.
@@ -151,8 +148,9 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if needed) the run directory for `(config,
-    /// options)` under `journal_dir`.
+    /// The journal of `(config, options)` under `journal_dir`. Its run
+    /// directory is created by the first checkpoint, so opening a
+    /// journal only to look at it writes nothing.
     pub fn open(
         journal_dir: &Path,
         config: &WorldConfig,
@@ -160,35 +158,36 @@ impl Journal {
     ) -> Result<Journal, StageError> {
         let key = run_key(config, options)?;
         let dir = journal_dir.join(format!("run-{key}"));
-        fs::create_dir_all(&dir)
-            .map_err(|e| StageError::io(format!("creating journal dir {}", dir.display()), e))?;
         Ok(Journal { dir, run_key: key })
-    }
-
-    /// The run key this journal is scoped to.
-    pub fn run_key(&self) -> &str {
-        &self.run_key
-    }
-
-    /// The run directory holding the stage records.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn file(&self, index: usize, stage: &str) -> PathBuf {
         self.dir.join(format!("{index:02}-{stage}.json"))
     }
 
+    /// Whether the record of the graph's last stage is on disk: the run
+    /// got to its end once. (The record is verified when it is loaded.)
+    pub(super) fn reached_the_end(&self) -> bool {
+        let stages = super::Pipeline::stages();
+        let last = stages.len() - 1;
+        self.file(last, stages[last].name()).is_file()
+    }
+
     /// Deletes every stage record in the run directory (`--journal-dir`
-    /// without `--resume`: start the run clean).
+    /// without `--resume`: start the run clean), and every temp file a
+    /// writer killed mid-save left behind.
     pub fn clear(&self) -> Result<(), StageError> {
-        let entries = fs::read_dir(&self.dir)
-            .map_err(|e| StageError::io(format!("listing {}", self.dir.display()), e))?;
+        let entries = match fs::read_dir(&self.dir) {
+            Ok(entries) => entries,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(StageError::io(format!("listing {}", self.dir.display()), e)),
+        };
         for entry in entries {
             let entry =
                 entry.map_err(|e| StageError::io(format!("listing {}", self.dir.display()), e))?;
             let path = entry.path();
-            if path.extension().is_some_and(|e| e == "json") {
+            let temp = entry.file_name().to_string_lossy().starts_with(".tmp-");
+            if temp || path.extension().is_some_and(|e| e == "json") {
                 fs::remove_file(&path)
                     .map_err(|e| StageError::io(format!("removing {}", path.display()), e))?;
             }
@@ -197,12 +196,20 @@ impl Journal {
     }
 
     /// Atomically writes the checkpoint for stage `index`: the record
-    /// is rendered, checksummed, written to a temp file, and renamed
-    /// into place — a kill mid-save leaves either the old record or
-    /// none, never a torn one.
-    pub fn save(&self, index: usize, stage: &str, record: &StageRecord) -> Result<(), StageError> {
-        let payload = serde_json::to_string(record)
-            .map_err(|e| corrupt(stage, format!("stage record does not serialize: {e}")))?;
+    /// is rendered, checksummed, written to a temp file of this writer's
+    /// own, and renamed into place — a kill mid-save leaves either the
+    /// old record or none, never a torn one, and concurrent writers of
+    /// one record (a batch run and a server on one journal, or a `run`
+    /// and an `advance` of the same epoch) each rename a whole file.
+    fn save(&self, index: usize, stage: &str, record: StageRecord) -> Result<(), StageError> {
+        // Rendered from a tree the artifacts are moved into, not copied
+        // into: they are the bulk of a record.
+        let mut map = serde::Map::new();
+        map.insert("artifacts", record.artifacts);
+        map.insert("quarantined", encode(stage, &record.quarantined)?);
+        map.insert("health", encode(stage, &record.health)?);
+        map.insert("items", encode(stage, &record.items)?);
+        let payload = serde::render(&serde::Value::Object(map));
         let envelope = Envelope {
             format: FORMAT,
             run_key: self.run_key.clone(),
@@ -213,72 +220,77 @@ impl Journal {
         };
         let rendered = serde_json::to_string(&envelope)
             .map_err(|e| corrupt(stage, format!("envelope does not serialize: {e}")))?;
+        fs::create_dir_all(&self.dir).map_err(|e| {
+            StageError::io(format!("creating journal dir {}", self.dir.display()), e)
+        })?;
         let path = self.file(index, stage);
-        let tmp = self.dir.join(format!(".tmp-{index:02}-{stage}"));
-        fs::write(&tmp, rendered)
-            .map_err(|e| StageError::io(format!("writing {}", tmp.display()), e))?;
-        fs::rename(&tmp, &path)
-            .map_err(|e| StageError::io(format!("renaming into {}", path.display()), e))?;
-        Ok(())
+        let tmp = self.dir.join(format!(
+            ".tmp-{}-{}-{index:02}-{stage}",
+            std::process::id(),
+            SAVES.fetch_add(1, Ordering::Relaxed)
+        ));
+        let written = fs::write(&tmp, rendered)
+            .and_then(|()| fs::rename(&tmp, &path))
+            .map_err(|e| StageError::io(format!("saving {}", path.display()), e));
+        if written.is_err() {
+            // Nothing else would ever overwrite this writer's temp file.
+            let _ = fs::remove_file(&tmp);
+        }
+        written
     }
 
-    /// Loads and verifies the checkpoint for stage `index`. Every
-    /// validation failure is a [`LoadOutcome::Rejected`] — the caller
-    /// recomputes; nothing invalid is ever returned as a hit.
-    pub fn load(&self, index: usize, stage: &str) -> LoadOutcome {
-        let path = self.file(index, stage);
-        let text = match fs::read_to_string(&path) {
+    /// Loads and verifies the checkpoint for stage `index`: `Ok(None)`
+    /// when there is no record (a fresh run, or one killed earlier), and
+    /// the reason as an `Err` when a record fails validation — the
+    /// caller recomputes and overwrites it; nothing invalid is ever
+    /// returned as a hit.
+    fn load(&self, index: usize, stage: &str) -> Result<Option<StageRecord>, String> {
+        let text = match fs::read_to_string(self.file(index, stage)) {
             Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return LoadOutcome::Miss,
-            Err(e) => return LoadOutcome::Rejected(format!("unreadable: {e}")),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("unreadable: {e}")),
         };
-        let envelope: Envelope = match serde_json::from_str(&text) {
-            Ok(env) => env,
-            Err(e) => return LoadOutcome::Rejected(format!("unparseable envelope: {e}")),
-        };
+        let envelope: Envelope =
+            serde_json::from_str(&text).map_err(|e| format!("unparseable envelope: {e}"))?;
         if envelope.format != FORMAT {
-            return LoadOutcome::Rejected(format!(
-                "format {} != expected {FORMAT}",
-                envelope.format
-            ));
+            return Err(format!("format {} != expected {FORMAT}", envelope.format));
         }
         if envelope.run_key != self.run_key {
-            return LoadOutcome::Rejected(format!(
+            return Err(format!(
                 "run key {} != expected {} (stale journal)",
                 envelope.run_key, self.run_key
             ));
         }
         if envelope.index != index || envelope.stage != stage {
-            return LoadOutcome::Rejected(format!(
+            return Err(format!(
                 "record is {:02}-{}, expected {index:02}-{stage}",
                 envelope.index, envelope.stage
             ));
         }
         let checksum = format!("{:016x}", fnv64(envelope.payload.as_bytes()));
         if checksum != envelope.checksum {
-            return LoadOutcome::Rejected(format!(
+            return Err(format!(
                 "checksum {checksum} != recorded {}",
                 envelope.checksum
             ));
         }
-        match serde_json::from_str::<StageRecord>(&envelope.payload) {
-            Ok(record) => LoadOutcome::Hit(record),
-            Err(e) => LoadOutcome::Rejected(format!("unparseable payload: {e}")),
-        }
+        serde_json::from_str(&envelope.payload)
+            .map(Some)
+            .map_err(|e| format!("unparseable payload: {e}"))
     }
 
-    /// Loads stage `index`'s record into `ctx`: its artifacts, then its
-    /// ledger entries and health events. Returns the record's item
-    /// count, or `None` when the stage must be recomputed: no record,
-    /// a rejected one, or one whose artifacts do not map onto the
-    /// artifact types (as corrupt as a bad checksum).
+    /// Loads stage `index`'s record into `ctx`: its slots and carry
+    /// field, then its ledger entries and health events. Returns the
+    /// record's item count, or `None` when the stage must be recomputed:
+    /// no record, a rejected one, or one whose entries do not all decode
+    /// (as corrupt as a bad checksum) — and then `ctx` is untouched.
     pub(super) fn restore(
         &self,
         index: usize,
         stage: &str,
         ctx: &mut StageCtx<'_>,
     ) -> Option<usize> {
-        let LoadOutcome::Hit(record) = self.load(index, stage) else {
+        let Ok(Some(record)) = self.load(index, stage) else {
             return None;
         };
         restore_stage(stage, ctx, &record.artifacts).ok()?;
@@ -289,9 +301,9 @@ impl Journal {
         Some(record.items)
     }
 
-    /// Checkpoints stage `index`, just computed into `ctx`: its
-    /// artifacts, the ledger entries from `ledger_from` and the health
-    /// events from `health_from` on, and its item count.
+    /// Checkpoints stage `index`, just computed into `ctx`: its slots
+    /// and carry field, the ledger entries from `ledger_from` and the
+    /// health events from `health_from` on, and its item count.
     pub(super) fn checkpoint(
         &self,
         index: usize,
@@ -306,59 +318,51 @@ impl Journal {
             health: ctx.health[health_from..].to_vec(),
             items: ctx.timings.last().map_or(0, |t| t.items),
         };
-        self.save(index, stage, &record)
+        self.save(index, stage, record)
     }
 }
 
 // ---------------------------------------------------- stage codecs
 
-fn put<T: Serialize>(
-    map: &mut serde::Map,
-    name: &'static str,
-    slot: &Option<T>,
-) -> Result<(), StageError> {
-    let value = require(slot, name)?;
-    map.insert(
-        name,
-        serde_json::to_value(value).map_err(|e| corrupt(name, format!("{e}")))?,
-    );
-    Ok(())
+/// The record entry holding the carry field a stage folds.
+const CARRY: &str = "carry";
+
+fn encode<T: Serialize>(name: &str, value: &T) -> Result<serde::Value, StageError> {
+    serde_json::to_value(value).map_err(|e| corrupt(name, format!("{e}")))
 }
 
-fn get<T: for<'any> Deserialize<'any>>(map: &serde::Map, name: &str) -> Result<T, StageError> {
+fn decode<T: for<'any> Deserialize<'any>>(map: &serde::Map, name: &str) -> Result<T, StageError> {
     let value = map
         .get(name)
         .ok_or_else(|| corrupt(name, "slot missing from journal record"))?;
     serde_json::from_value(value.clone()).map_err(|e| corrupt(name, format!("{e}")))
 }
 
-fn as_map(artifacts: &serde::Value) -> Result<&serde::Map, StageError> {
-    artifacts
-        .as_object()
-        .ok_or_else(|| corrupt("artifacts", "journal record is not an object"))
-}
-
-/// Maps stage names to the `StageCtx` slots they own. Used by both the
-/// capture and restore paths so they can never drift apart; `safety` is
-/// handled separately (its gate needs reconstruction, not
-/// deserialization).
+/// Maps each stage to the `StageCtx` slots its record stores and the
+/// carry field it folds, so capture and restore can never drift apart.
+/// `extract` folds `actors` only when its survey is sharded (§6j):
+/// without a quarantined shard's forums, so a resumed run must not fold
+/// their posts back in. `measure_images` and `safety` store less than
+/// they produce; [`restore_stage`] derives the rest.
 macro_rules! stage_slots {
-    ($on_stage:ident, $name:expr) => {
+    ($on_stage:ident, $name:expr, $ctx:ident) => {
         match $name {
-            "extract" => $on_stage!(extraction, all_threads),
-            "top_classifier" => $on_stage!(topcls, forums),
-            "crawl" => $on_stage!(crawl, crawl_stats),
-            "measure_images" => $on_stage!(measures),
-            "nsfv" => $on_stage!(nsfv_validation, previews_nsfv, funnel),
-            "provenance" => $on_stage!(provenance),
-            "finance" => $on_stage!(harvest, earnings),
+            "extract" => $on_stage!(
+                $ctx,
+                [extraction, all_threads],
+                actors if $ctx.options.shards > 0
+            ),
+            "top_classifier" => $on_stage!($ctx, [topcls, forums], topcls),
+            "crawl" => $on_stage!($ctx, [crawl, crawl_stats]),
+            "measure_images" => $on_stage!($ctx, [], measure),
+            "safety" => $on_stage!($ctx, [flagged, safety]),
+            "nsfv" => $on_stage!($ctx, [nsfv_validation, previews_nsfv, funnel], nsfv),
+            "provenance" => $on_stage!($ctx, [provenance], provenance),
+            "finance" => $on_stage!($ctx, [harvest, earnings], finance),
             "actors" => $on_stage!(
-                cohorts,
-                fig4_points,
-                key_actors,
-                group_profiles,
-                interests,
-                currency
+                $ctx,
+                [cohorts, fig4_points, key_actors, group_profiles, interests, currency],
+                actors
             ),
             other => {
                 return Err(corrupt(
@@ -370,73 +374,84 @@ macro_rules! stage_slots {
     };
 }
 
-/// The `extract` record's slot for a sharded survey's `actors` carry.
-const ACTORS_CARRY: &str = "actors_carry";
-
-/// Serializes the named stage's artifact slots out of `ctx` into one
-/// JSON object, ready for a [`StageRecord`]. A sharded `extract` record
-/// also holds the `actors` carry its survey pre-folded.
-pub fn capture_stage(name: &str, ctx: &StageCtx<'_>) -> Result<serde::Value, StageError> {
+/// Serializes the named stage's slots and carry field out of `ctx` into
+/// one JSON object, ready for a [`StageRecord`].
+fn capture_stage(name: &str, ctx: &StageCtx<'_>) -> Result<serde::Value, StageError> {
     let mut map = serde::Map::new();
-    if name == "safety" {
-        put(&mut map, "flagged", &ctx.flagged)?;
-        put(&mut map, "safety", &ctx.safety)?;
-        put(&mut map, "kept", &ctx.kept)?;
-        let gate = require(&ctx.gate, "gate")?;
-        let log: Vec<ReportedItem> = gate.log().items();
-        map.insert(
-            "gate_log",
-            serde_json::to_value(&log).map_err(|e| corrupt("gate_log", format!("{e}")))?,
-        );
-        return Ok(serde::Value::Object(map));
-    }
     macro_rules! capture {
-        ($($slot:ident),+) => {{ $(put(&mut map, stringify!($slot), &ctx.$slot)?;)+ }};
+        ($c:ident, [$($slot:ident),*] $(, $carry:ident $(if $when:expr)?)?) => {{
+            $(
+                let slot = require(&$c.$slot, stringify!($slot))?;
+                map.insert(stringify!($slot), encode(stringify!($slot), slot)?);
+            )*
+            $(if true $(&& $when)? {
+                let field = &require(&$c.carry, "carry")?.$carry;
+                map.insert(CARRY, encode(CARRY, field)?);
+            })?
+        }};
     }
-    stage_slots!(capture, name);
-    if name == "extract" && ctx.options.shards > 0 {
-        // The shard survey pre-folds the `actors` carry — without a
-        // quarantined shard's forums, when one is lost — so a resumed
-        // run must not fold those posts back in.
-        let carry = require(&ctx.carry, "carry")?;
-        map.insert(
-            ACTORS_CARRY,
-            serde_json::to_value(&carry.actors)
-                .map_err(|e| corrupt(ACTORS_CARRY, format!("{e}")))?,
-        );
+    stage_slots!(capture, name, ctx);
+    if name == "safety" {
+        let log: Vec<ReportedItem> = require(&ctx.gate, "gate")?.log().items();
+        map.insert("gate_log", encode("gate_log", &log)?);
     }
     Ok(serde::Value::Object(map))
 }
 
-/// Restores the named stage's artifact slots into `ctx` from a
-/// journaled record. Inverse of [`capture_stage`].
-pub fn restore_stage(
+/// Restores the named stage's slots and carry field into `ctx` from a
+/// journaled record — the inverse of [`capture_stage`]. All or nothing:
+/// every entry decodes (and every derived slot builds) before anything
+/// is written, so on an error `ctx` and its carry are as they were.
+fn restore_stage(
     name: &str,
     ctx: &mut StageCtx<'_>,
     artifacts: &serde::Value,
 ) -> Result<(), StageError> {
-    let map = as_map(artifacts)?;
-    if name == "safety" {
-        ctx.flagged = Some(get(map, "flagged")?);
-        ctx.safety = Some(get(map, "safety")?);
-        ctx.kept = Some(get(map, "kept")?);
-        // The gate is rebuilt from the world's hash list (screening
-        // depends only on the list) and the report log replayed, so
-        // finance's proof screening sees the identical gate state.
-        let log: Vec<ReportedItem> = get(map, "gate_log")?;
-        let gate = SafetyGate::new(ctx.world.hashlist.clone());
-        for item in log {
-            gate.log().record(item);
+    let map = artifacts
+        .as_object()
+        .ok_or_else(|| corrupt(name, "journal record is not an object"))?;
+    // A context without its carry fails here, before any write.
+    carry_mut(&mut ctx.carry)?;
+    match name {
+        "measure_images" => {
+            // Every crawled image is looked up in the memo: the pixel
+            // kernels never run, and a missing pair rejects the record.
+            let carry: super::epoch::MeasureCarry = decode(map, CARRY)?;
+            let measures = measures_from_memo(require(&ctx.crawl, "crawl")?, &carry.memo)?;
+            ctx.measures = Some(measures);
+            carry_mut(&mut ctx.carry)?.measure = carry;
         }
-        ctx.gate = Some(gate);
-        return Ok(());
-    }
-    macro_rules! restore {
-        ($($slot:ident),+) => {{ $(ctx.$slot = Some(get(map, stringify!($slot))?);)+ }};
-    }
-    stage_slots!(restore, name);
-    if map.get(ACTORS_CARRY).is_some() {
-        carry_mut(&mut ctx.carry)?.actors = get(map, ACTORS_CARRY)?;
+        "safety" => {
+            let flagged = decode(map, "flagged")?;
+            let safety = decode(map, "safety")?;
+            let log: Vec<ReportedItem> = decode(map, "gate_log")?;
+            let kept = apply_deletions(require(&ctx.measures, "measures")?, &flagged);
+            // The gate is rebuilt from the world's hash list (screening
+            // depends only on the list) and the report log replayed, so
+            // finance's proof screening sees the identical gate state.
+            let gate = SafetyGate::new(ctx.world.hashlist.clone());
+            for item in log {
+                gate.log().record(item);
+            }
+            ctx.flagged = Some(flagged);
+            ctx.safety = Some(safety);
+            ctx.kept = Some(kept);
+            ctx.gate = Some(gate);
+        }
+        _ => {
+            macro_rules! restore {
+                ($c:ident, [$($slot:ident),*] $(, $carry:ident $(if $when:expr)?)?) => {{
+                    $(let $slot = decode(map, stringify!($slot))?;)*
+                    // The carry decodes last, before the one write
+                    // that cannot fail (the carry is there, see above).
+                    $(if map.get(CARRY).is_some() {
+                        carry_mut(&mut $c.carry)?.$carry = decode(map, CARRY)?;
+                    })?
+                    $($c.$slot = Some($slot);)*
+                }};
+            }
+            stage_slots!(restore, name, ctx);
+        }
     }
     Ok(())
 }
@@ -445,6 +460,9 @@ pub fn restore_stage(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::pipeline::Pipeline;
+    use rand::Rng;
+    use worldgen::World;
 
     fn options(seed: u64) -> PipelineOptions {
         PipelineOptions {
@@ -501,35 +519,80 @@ mod tests {
     fn save_load_round_trip_is_a_hit() {
         let dir = tmp_dir("roundtrip");
         let journal = Journal::open(&dir, &WorldConfig::test_scale(3), &options(3)).unwrap();
-        journal.save(0, "extract", &record()).unwrap();
-        match journal.load(0, "extract") {
-            LoadOutcome::Hit(rec) => {
-                assert_eq!(rec.items, 7);
-                assert_eq!(
-                    rec.artifacts.as_object().unwrap().get("x"),
-                    Some(&serde::Value::Str("artifact".into()))
-                );
-            }
-            other => panic!("expected Hit, got {other:?}"),
-        }
-        assert!(matches!(
-            journal.load(1, "top_classifier"),
-            LoadOutcome::Miss
-        ));
+        assert!(!journal.dir.exists(), "opening a journal writes nothing");
+        journal.save(0, "extract", record()).unwrap();
+        let rec = journal.load(0, "extract").unwrap().expect("a hit");
+        assert_eq!(rec.items, 7);
+        assert_eq!(
+            rec.artifacts.as_object().unwrap().get("x"),
+            Some(&serde::Value::Str("artifact".into()))
+        );
+        assert!(journal.load(1, "top_classifier").unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Writers of one record — a batch run and a server on one journal,
+    /// or a `run` and an `advance` of one epoch — each write a temp file
+    /// of their own, so no writer truncates another's before its rename.
     #[test]
-    fn tampered_payload_is_rejected_not_reused() {
-        let dir = tmp_dir("tamper");
-        let journal = Journal::open(&dir, &WorldConfig::test_scale(4), &options(4)).unwrap();
-        journal.save(2, "crawl", &record()).unwrap();
-        let path = journal.dir().join("02-crawl.json");
-        let tampered = fs::read_to_string(&path)
-            .unwrap()
-            .replace("artifact", "artifice");
-        fs::write(&path, tampered).unwrap();
-        assert!(matches!(journal.load(2, "crawl"), LoadOutcome::Rejected(_)));
+    fn concurrent_saves_of_one_record_all_land() {
+        let dir = tmp_dir("concurrent");
+        let journal = Journal::open(&dir, &WorldConfig::test_scale(9), &options(9)).unwrap();
+        let record = record();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            let saves: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        journal.save(3, "safety", record.clone())
+                    })
+                })
+                .collect();
+            for save in saves {
+                save.join().unwrap().unwrap();
+            }
+        });
+        assert!(journal.load(3, "safety").unwrap().is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Seeded mutations of a real record: truncated at every offset and
+    /// with one bit flipped at every offset, a load never panics and
+    /// never returns a hit other than the original record.
+    #[test]
+    fn mutated_records_never_load_as_another_hit() {
+        let world = World::generate(WorldConfig {
+            seed: 0x4D07,
+            scale: 0.001,
+            origin_domains: 40,
+            csam_images: 1,
+            with_side_boards: true,
+        });
+        let dir = tmp_dir("mutate");
+        let options = options(0x4D07);
+        Pipeline::new(options)
+            .run_prefix_resumable(&world, 2, &dir)
+            .unwrap();
+        let journal = Journal::open(&dir, &world.config, &options).unwrap();
+        let path = journal.file(1, "top_classifier");
+        let bytes = fs::read(&path).unwrap();
+        let original = journal.load(1, "top_classifier").unwrap().expect("a hit");
+        let original = serde_json::to_string(&original).unwrap();
+        let mut rng = synthrand::rng_from_seed(0x4D07);
+        let check = |mutated: &[u8], what: &str| {
+            fs::write(&path, mutated).unwrap();
+            if let Ok(Some(record)) = journal.load(1, "top_classifier") {
+                assert_eq!(serde_json::to_string(&record).unwrap(), original, "{what}");
+            }
+        };
+        for offset in 0..bytes.len() {
+            check(&bytes[..offset], &format!("truncated at {offset}"));
+            let mut flipped = bytes.clone();
+            let bit = rng.gen_range(0..8);
+            flipped[offset] ^= 1 << bit;
+            check(&flipped, &format!("bit {bit} flipped at {offset}"));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -537,16 +600,14 @@ mod tests {
     fn record_of_another_format_is_rejected() {
         let dir = tmp_dir("format");
         let journal = Journal::open(&dir, &WorldConfig::test_scale(8), &options(8)).unwrap();
-        journal.save(7, "finance", &record()).unwrap();
-        let path = journal.dir().join("07-finance.json");
+        journal.save(7, "finance", record()).unwrap();
+        let path = journal.dir.join("07-finance.json");
         let mut envelope: Envelope =
             serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
         envelope.format = FORMAT - 1;
         fs::write(&path, serde_json::to_string(&envelope).unwrap()).unwrap();
-        match journal.load(7, "finance") {
-            LoadOutcome::Rejected(reason) => assert!(reason.contains("format"), "{reason}"),
-            other => panic!("expected Rejected, got {other:?}"),
-        }
+        let reason = journal.load(7, "finance").unwrap_err();
+        assert!(reason.contains("format"), "{reason}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -555,19 +616,18 @@ mod tests {
         let dir = tmp_dir("stale");
         let config = WorldConfig::test_scale(5);
         let old = Journal::open(&dir, &config, &options(5)).unwrap();
-        old.save(0, "extract", &record()).unwrap();
+        old.save(0, "extract", record()).unwrap();
         // A journal for different options lives in a different run dir;
         // force the mismatch by copying the record across.
         let new = Journal::open(&dir, &config, &options(6)).unwrap();
+        fs::create_dir_all(&new.dir).unwrap();
         fs::copy(
-            old.dir().join("00-extract.json"),
-            new.dir().join("00-extract.json"),
+            old.dir.join("00-extract.json"),
+            new.dir.join("00-extract.json"),
         )
         .unwrap();
-        match new.load(0, "extract") {
-            LoadOutcome::Rejected(reason) => assert!(reason.contains("stale"), "{reason}"),
-            other => panic!("expected Rejected, got {other:?}"),
-        }
+        let reason = new.load(0, "extract").unwrap_err();
+        assert!(reason.contains("stale"), "{reason}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -575,9 +635,17 @@ mod tests {
     fn clear_empties_the_run_dir() {
         let dir = tmp_dir("clear");
         let journal = Journal::open(&dir, &WorldConfig::test_scale(7), &options(7)).unwrap();
-        journal.save(0, "extract", &record()).unwrap();
         journal.clear().unwrap();
-        assert!(matches!(journal.load(0, "extract"), LoadOutcome::Miss));
+        journal.save(0, "extract", record()).unwrap();
+        // A writer killed between its write and its rename.
+        let leftover = journal.dir.join(".tmp-1-0-00-extract");
+        fs::write(&leftover, "torn").unwrap();
+        journal.clear().unwrap();
+        assert!(journal.load(0, "extract").unwrap().is_none());
+        assert!(
+            !leftover.exists(),
+            "clearing removes a dead writer's temp file"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

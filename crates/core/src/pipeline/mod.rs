@@ -384,15 +384,18 @@ impl Pipeline {
     /// returns the refreshed carry alongside the report. Passing
     /// [`EpochCarry::default`] is the *fresh-carry* run — a full
     /// recompute through the identical fold — which is what the
-    /// epoch-equivalence gate compares warm advances against.
+    /// epoch-equivalence gate compares warm advances against. With a
+    /// `journal`, journaled stages load their artifacts and carry
+    /// fields, and computed ones are checkpointed.
     pub fn run_with_carry(
         &self,
         world: &World,
         carry: EpochCarry,
+        journal: Option<&Journal>,
     ) -> Result<(PipelineReport, EpochCarry), StageError> {
         let mut ctx = StageCtx::new(world, self.options);
         ctx.carry = Some(carry);
-        let mut ctx = Self::drive(ctx, usize::MAX, None)?;
+        let mut ctx = Self::drive(ctx, usize::MAX, journal)?;
         let carry = ctx
             .carry
             .take()
@@ -431,10 +434,12 @@ impl Pipeline {
 
     /// The one stage loop behind every run form: steps the first `n`
     /// stages through [`Pipeline::step`]. With a journal it first loads
-    /// the longest contiguous journaled prefix (each stage folds only
-    /// its own carry field, so the loaded stages' carries are not
-    /// needed), checkpoints every stage it computes, and reports the
-    /// journal's own overhead as one `journal` timing row.
+    /// the longest contiguous journaled prefix — each record restores
+    /// its stage's artifacts and the carry field that stage folds, and
+    /// each stage folds only its own field, so the stages computed
+    /// after it fold exactly what an uninterrupted run does —
+    /// checkpoints every stage it computes, and reports the journal's
+    /// own overhead as one `journal` timing row.
     fn drive<'w>(
         mut ctx: StageCtx<'w>,
         n: usize,

@@ -42,6 +42,31 @@ where
     MeasuredImages::try_from_flat(batch(&flat), n_previews, &pack_lens)
 }
 
+/// The memo keyed by `(spec, transform)`.
+fn memo_index(
+    memo: &[(StoredImage, ImageMeasures)],
+) -> HashMap<(ImageSpec, Transform), ImageMeasures> {
+    memo.iter()
+        .map(|&(img, m)| ((img.spec, img.transform), m))
+        .collect()
+}
+
+/// Rebuilds the stage's `measures` for `crawl` from a journaled memo:
+/// every image is looked up, none measured. A pair the memo lacks cuts
+/// the lookup short, and the re-split rejects the short batch.
+pub(crate) fn measures_from_memo(
+    crawl: &CrawlResult,
+    memo: &[(StoredImage, ImageMeasures)],
+) -> Result<MeasuredImages, StageError> {
+    let known = memo_index(memo);
+    flatten_and_measure(crawl, |images| {
+        images
+            .iter()
+            .map_while(|img| known.get(&(img.spec, img.transform)).copied())
+            .collect()
+    })
+}
+
 impl Stage for MeasureStage {
     fn name(&self) -> &'static str {
         "measure_images"
@@ -55,12 +80,7 @@ impl Stage for MeasureStage {
         // pixel kernels. Memo hits are exact because a measure is a pure
         // function of its pair (the arena-batch bit-identity contract
         // below).
-        let mut known: HashMap<(ImageSpec, Transform), ImageMeasures> = carry_mut(&mut ctx.carry)?
-            .measure
-            .memo
-            .iter()
-            .map(|&(img, m)| ((img.spec, img.transform), m))
-            .collect();
+        let mut known = memo_index(&carry_mut(&mut ctx.carry)?.measure.memo);
         let mut fresh_entries: Vec<(StoredImage, ImageMeasures)> = Vec::new();
         let measures = flatten_and_measure(crawl, |images| {
             let mut queued: HashSet<(ImageSpec, Transform)> = HashSet::new();
@@ -302,6 +322,22 @@ mod tests {
             ],
             ..CrawlResult::default()
         }
+    }
+
+    /// A journaled memo restores every image's measures by lookup, and
+    /// one missing pair rejects it instead of leaving a hole.
+    #[test]
+    fn memo_restore_looks_every_image_up_and_rejects_a_missing_pair() {
+        let crawl = tiny_crawl();
+        let measured = flatten_and_measure(&crawl, |images| measure_batch(images, 1)).unwrap();
+        let images = crawl.previews.iter().map(|d| d.image);
+        let images = images.chain(crawl.packs.iter().flat_map(|p| p.images.iter().copied()));
+        let mut memo: Vec<_> = images
+            .map(|i| (i, ImageMeasures::of(&i.render())))
+            .collect();
+        assert_eq!(measures_from_memo(&crawl, &memo).unwrap(), measured);
+        memo.remove(4);
+        assert!(measures_from_memo(&crawl, &memo).is_err());
     }
 
     /// The satellite guarantee: one flattened batch covering previews and

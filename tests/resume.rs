@@ -9,8 +9,10 @@
 //! matrix also runs sharded, poisoned-shard and streamed specs: every
 //! run form goes through the same journaled stage loop.
 
+use ewhoring_core::pipeline::journal::run_key;
 use ewhoring_core::pipeline::{
-    stream_world, Pipeline, PipelineOptions, ShardPoison, StageCtx, StreamSpec, TimingSource,
+    stream_world, EpochCarry, EpochEngine, Journal, Pipeline, PipelineOptions, ShardPoison,
+    StageCtx, StreamSpec, TimingSource,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -283,6 +285,74 @@ fn timing_sources_separate_journal_loads_from_compute() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Every carry field survives its stage record: a run whose nine
+/// stages all load from the journal ends with the carry the journaling
+/// run computed — whole in its serialized form (hashed collections
+/// render sorted), and by value field by field, so a field the
+/// serialized form left out would show too. The run injects faults and
+/// heavy corruption, so every field this checks is non-empty.
+#[test]
+fn carry_round_trips_through_stage_records() {
+    let world = World::generate(WorldConfig::test_scale(0x4E5));
+    let options = PipelineOptions {
+        corruption_severity: 3.0,
+        ..options(1)
+    };
+    let dir = temp_dir("carry");
+    let journal = Journal::open(&dir, &world.config, &options).expect("open journal");
+    let run = |what| {
+        Pipeline::new(options)
+            .run_with_carry(&world, EpochCarry::default(), Some(&journal))
+            .expect(what)
+    };
+    let (computed, was) = run("journaling run");
+    assert_eq!(loaded_stages(&computed), 0);
+    let (loaded, carry) = run("loading run");
+    assert_eq!(loaded_stages(&loaded), Pipeline::stages().len());
+    assert_eq!(
+        serde_json::to_string(&carry).expect("carry serializes"),
+        serde_json::to_string(&was).expect("carry serializes")
+    );
+
+    assert!(was.topcls.epoch > 0 && !was.topcls.decisions.is_empty());
+    assert_eq!(carry.topcls.epoch, was.topcls.epoch);
+    assert_eq!(carry.topcls.decisions, was.topcls.decisions);
+    assert!(carry.topcls.model.is_some());
+    assert!(!was.measure.memo.is_empty());
+    assert_eq!(carry.measure.memo.len(), was.measure.memo.len());
+    assert!(carry.nsfv.is_some());
+    let (finance, f) = (&carry.finance, &was.finance);
+    assert!(f.cursor > 0 && f.thread_cursor > 0 && f.agg_cursor > 0);
+    assert_eq!(
+        (finance.cursor, finance.thread_cursor, finance.agg_cursor),
+        (f.cursor, f.thread_cursor, f.agg_cursor)
+    );
+    assert!(!f.whiteset.is_empty() && !f.seen_urls.is_empty());
+    assert_eq!(finance.whiteset, f.whiteset);
+    assert_eq!(finance.seen_urls, f.seen_urls);
+    assert!(!f.quarantined.is_empty() && !f.harvest.proofs.is_empty());
+    assert_eq!(finance.quarantined, f.quarantined);
+    assert_eq!(finance.harvest.proofs.len(), f.harvest.proofs.len());
+    assert_eq!(finance.agg.per_actor, f.agg.per_actor);
+    assert_eq!(finance.agg.monthly, f.agg.monthly);
+    assert!(!was.provenance.memo.is_empty());
+    assert_eq!(carry.provenance.memo.len(), was.provenance.memo.len());
+    let (actors, a) = (&carry.actors, &was.actors);
+    assert!(a.epoch > 0 && a.cursor > 0 && a.graph.edge_count() > 0);
+    assert!(!a.ce_threads.is_empty());
+    assert_eq!((actors.epoch, actors.cursor), (a.epoch, a.cursor));
+    assert_eq!(actors.graph.edge_count(), a.graph.edge_count());
+    assert_eq!(actors.influence, a.influence);
+    assert_eq!(actors.fold.ew_posts, a.fold.ew_posts);
+    assert_eq!(actors.fold.first_ew, a.fold.first_ew);
+    assert_eq!(actors.fold.last_post, a.fold.last_post);
+    assert_eq!(
+        (actors.ce_cursor, &actors.ce_threads),
+        (a.ce_cursor, &a.ce_threads)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Kill-and-resume at an epoch boundary: advance a journaled epoch
 /// engine partway, drop it (only the checkpoint files survive, exactly
 /// like a crash between epochs), rebuild from the same journal dir, and
@@ -291,8 +361,6 @@ fn timing_sources_separate_journal_loads_from_compute() {
 /// uninterrupted engine's, which in turn equals the full recompute.
 #[test]
 fn epoch_engine_resumes_from_journaled_boundary() {
-    use ewhoring_core::pipeline::EpochEngine;
-
     let dir = temp_dir("epoch");
     let options = PipelineOptions {
         k_key_actors: 12,
@@ -312,14 +380,15 @@ fn epoch_engine_resumes_from_journaled_boundary() {
 
     // Crash after epoch 2: the engine is dropped mid-stream.
     {
-        let mut engine =
+        let (mut engine, resumed) =
             EpochEngine::with_journal(world(), epochs, options, &dir).expect("open journal");
         assert_eq!(engine.epoch(), 0, "fresh journal starts at epoch 0");
+        assert!(resumed.is_none(), "nothing to resume");
         engine.advance_to(2).expect("advance to epoch 2");
     }
 
     // Resume: the journal alone restores epoch 2's world and carry.
-    let mut resumed =
+    let (mut resumed, _) =
         EpochEngine::with_journal(world(), epochs, options, &dir).expect("reopen journal");
     assert_eq!(resumed.epoch(), 2, "resumes at the journaled epoch");
     let report = resumed
@@ -342,8 +411,6 @@ fn epoch_engine_resumes_from_journaled_boundary() {
 /// one — and the final report is still byte-identical.
 #[test]
 fn epoch_engine_resume_preserves_quarantine_across_kill() {
-    use ewhoring_core::pipeline::EpochEngine;
-
     let dir = temp_dir("epoch-corrupt");
     let opts = options(2); // fault_severity 1.0, corruption_severity 0.75
     let epochs = 3;
@@ -364,53 +431,64 @@ fn epoch_engine_resume_preserves_quarantine_across_kill() {
 
     // Crash after epoch 2, mid-corruption: only the checkpoints survive.
     {
-        let mut engine =
+        let (mut engine, _) =
             EpochEngine::with_journal(world(), epochs, opts, &dir).expect("open journal");
         engine.advance_to(2).expect("advance to epoch 2");
     }
 
-    // The epoch-2 checkpoint record itself carries the ledger and the
-    // health rows, not `quarantined: []` placeholders.
-    let run_dir = run_subdir(&dir);
-    let record_path = fs::read_dir(&run_dir)
-        .expect("read run dir")
+    // Epoch 2's stage records — under the run key of the streamed spec
+    // `{3, 2}` — carry the ledger and the health rows between them, not
+    // `quarantined: []` placeholders.
+    let epoch2 = PipelineOptions {
+        stream: Some(StreamSpec { epochs, upto: 2 }),
+        ..opts
+    };
+    let key = run_key(&WorldConfig::test_scale(0x3E50), &epoch2).expect("run key");
+    let records: Vec<serde_json::Value> = fs::read_dir(dir.join(format!("run-{key}")))
+        .expect("epoch-2 run dir exists")
         .filter_map(Result::ok)
-        .map(|e| e.path())
-        .find(|p| {
-            p.file_name().is_some_and(|n| {
-                let n = n.to_string_lossy();
-                n.contains("epoch-2") && n.ends_with(".json")
-            })
+        .map(|e| {
+            // The on-disk file is a checksummed envelope; the stage
+            // record is its embedded `payload` string.
+            let envelope: serde_json::Value =
+                serde_json::from_str(&fs::read_to_string(e.path()).expect("read record"))
+                    .expect("checkpoint envelope parses");
+            let payload = envelope
+                .as_object()
+                .and_then(|o| o.get("payload"))
+                .and_then(|p| p.as_str())
+                .expect("envelope embeds the record payload");
+            serde_json::from_str(payload).expect("stage record parses")
         })
-        .expect("epoch-2 checkpoint record exists");
-    // The on-disk file is a checksummed envelope; the stage record is
-    // its embedded `payload` string.
-    let envelope: serde_json::Value =
-        serde_json::from_str(&fs::read_to_string(&record_path).expect("read record"))
-            .expect("checkpoint envelope parses");
-    let payload = envelope
-        .as_object()
-        .and_then(|o| o.get("payload"))
-        .and_then(|p| p.as_str())
-        .expect("envelope embeds the record payload");
-    let record: serde_json::Value =
-        serde_json::from_str(payload).expect("checkpoint record parses");
-    let record = record.as_object().expect("checkpoint record is an object");
-    assert!(
+        .collect();
+    assert_eq!(
+        records.len(),
+        Pipeline::stages().len(),
+        "one record per stage"
+    );
+    let field = |record: &serde_json::Value, name: &str| {
         record
-            .get("quarantined")
-            .and_then(|q| q.as_array())
-            .is_some_and(|a| !a.is_empty()),
-        "epoch checkpoint must persist the epoch's quarantine ledger"
+            .as_object()
+            .and_then(|o| o.get(name))
+            .and_then(|v| v.as_array())
+            .map(Vec::len)
+    };
+    let quarantined: usize = records
+        .iter()
+        .map(|r| field(r, "quarantined").expect("every record has a ledger slice"))
+        .sum();
+    assert!(
+        quarantined > 0,
+        "epoch 2's stage records must persist the epoch's quarantine ledger"
     );
     assert!(
-        record.get("health").and_then(|h| h.as_array()).is_some(),
-        "epoch checkpoint must carry the epoch's stage-health section"
+        records.iter().all(|r| field(r, "health").is_some()),
+        "every stage record must carry its stage-health events"
     );
 
     // Resume and finish: byte-identical report, quarantine included
     // (the snapshot serializes the ledger and health sections).
-    let mut resumed =
+    let (mut resumed, _) =
         EpochEngine::with_journal(world(), epochs, opts, &dir).expect("reopen journal");
     assert_eq!(resumed.epoch(), 2, "resumes at the journaled epoch");
     let report = resumed
@@ -424,4 +502,55 @@ fn epoch_engine_resume_preserves_quarantine_across_kill() {
     );
 
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Kill mid-epoch: a one-shot run of the streamed spec `{3, 2}` stops
+/// after `k` stages, for every `k` short of the whole graph. An engine
+/// over the same journal then advances through epoch 2 — the run key it
+/// journals epoch 2 under is that spec's, so it loads exactly those `k`
+/// stages and computes the rest on its warm carry — and its final report
+/// is byte-identical to an uninterrupted engine's.
+#[test]
+fn epoch_engine_resumes_a_run_killed_mid_epoch() {
+    let options = options(1);
+    let epochs = 3;
+    let at2 = StreamSpec { epochs, upto: 2 };
+    let world = World::generate(WorldConfig::test_scale(0x3E51));
+    let reference = snapshot(
+        &EpochEngine::new(world.clone(), epochs, options)
+            .advance_to(epochs)
+            .expect("straight run")
+            .expect("at least one epoch"),
+    );
+    let world_at2 = stream_world(world.clone(), at2);
+    let killed = Pipeline::new(PipelineOptions {
+        stream: Some(at2),
+        ..options
+    });
+    for k in 1..Pipeline::stages().len() {
+        let dir = temp_dir(&format!("mid-epoch-k{k}"));
+        killed
+            .run_prefix_resumable(&world_at2, k, &dir)
+            .expect("killed run");
+        let (mut engine, _) =
+            EpochEngine::with_journal(world.clone(), epochs, options, &dir).expect("open journal");
+        assert_eq!(engine.epoch(), 0, "no epoch ran to its end");
+        engine.advance().expect("epoch 1");
+        let epoch2 = engine.advance().expect("epoch 2");
+        assert_eq!(
+            loaded_stages(&epoch2),
+            k,
+            "epoch 2 loads the killed run's {k} stage(s)"
+        );
+        let report = engine
+            .advance_to(epochs)
+            .expect("epoch 3")
+            .expect("one epoch left");
+        assert_eq!(
+            snapshot(&report).as_bytes(),
+            reference.as_bytes(),
+            "stream killed after {k} stage(s) of epoch 2 diverged"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -4,7 +4,7 @@
 //! isolation between different specs.
 
 use ewhoring_core::pipeline::{
-    snapshot_json, stream_world, Pipeline, RunCache, RunSpec, TimingSource,
+    snapshot_json, stream_world, EpochEngine, Pipeline, RunCache, RunSpec, TimingSource,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -147,5 +147,103 @@ fn different_seeds_get_distinct_keys_and_never_cross_contaminate() {
         direct_snapshot(&b)
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An engine journals epoch `e` under the run key of the streamed spec
+/// `{epochs, upto: e}`, so the engine and one-shot runs share records
+/// both ways: a `run` of `{3, 2}` after an engine reached epoch 2 loads
+/// every stage, and an engine over a `run`'s records resumes at epoch 2.
+#[test]
+fn engine_and_run_share_epoch_records() {
+    let spec = RunSpec {
+        epochs: 3,
+        upto: 2,
+        ..tiny(0x5A4E)
+    };
+    let engine_options = RunSpec { upto: 0, ..spec }.options();
+    let engine = |dir: &PathBuf| {
+        EpochEngine::with_journal(World::generate(spec.world_config()), 3, engine_options, dir)
+            .expect("open journal")
+            .0
+    };
+
+    let dir = tmp_dir("shared-engine-first");
+    engine(&dir).advance_to(2).expect("advance to epoch 2");
+    let served = RunCache::with_journal(&dir)
+        .get_or_compute(&spec)
+        .expect("run after the engine");
+    assert!(
+        served
+            .report
+            .timings
+            .iter()
+            .all(|t| t.source == TimingSource::Journal),
+        "every stage of the run loads the engine's records, got {:?}",
+        served.report.timings
+    );
+    assert_eq!(
+        snapshot_json(&served.report).expect("snapshot"),
+        direct_snapshot(&spec)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = tmp_dir("shared-run-first");
+    RunCache::with_journal(&dir)
+        .get_or_compute(&spec)
+        .expect("run before the engine");
+    let mut resumed = engine(&dir);
+    assert_eq!(resumed.epoch(), 2, "the engine resumes at the run's epoch");
+    let last = resumed.advance().expect("advance to the final epoch");
+    assert_eq!(
+        snapshot_json(&last).expect("snapshot"),
+        direct_snapshot(&RunSpec { upto: 3, ..spec })
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-shot run of a later epoch shares the stream's records, but an
+/// engine asked for an earlier epoch never resumes past it: after a
+/// `run` of `{3, 3}`, an engine heading for epoch 2 starts at epoch 0
+/// and advances; a second one resumes at epoch 2 and hands back that
+/// epoch's report from the journal.
+#[test]
+fn engine_never_resumes_past_the_epoch_it_is_asked_for() {
+    let spec = RunSpec {
+        epochs: 3,
+        upto: 2,
+        ..tiny(0x5A4F)
+    };
+    let engine = |dir: &PathBuf| {
+        EpochEngine::with_journal(World::generate(spec.world_config()), 3, spec.options(), dir)
+            .expect("open journal")
+    };
+    let expected = direct_snapshot(&spec);
+
+    let dir = tmp_dir("later-epoch-first");
+    RunCache::with_journal(&dir)
+        .get_or_compute(&RunSpec { upto: 3, ..spec })
+        .expect("run of the final epoch");
+    let (mut fresh, resumed) = engine(&dir);
+    assert_eq!(fresh.epoch(), 0, "epoch 3's records are past the ceiling");
+    assert!(resumed.is_none());
+    let report = fresh
+        .advance_to(2)
+        .expect("advance to epoch 2")
+        .expect("two epochs to run");
+    assert_eq!(snapshot_json(&report).expect("snapshot"), expected);
+
+    let (again, resumed) = engine(&dir);
+    assert_eq!(again.epoch(), 2, "resumes at the requested epoch");
+    let resumed = resumed.expect("the resumed epoch's report");
+    assert!(
+        resumed
+            .timings
+            .iter()
+            .all(|t| t.source == TimingSource::Journal),
+        "the resumed report loads every stage, got {:?}",
+        resumed.timings
+    );
+    assert_eq!(snapshot_json(&resumed).expect("snapshot"), expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
