@@ -6,7 +6,7 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Serialization error (shared by the `serde_json` stub).
 #[derive(Debug, Clone)]
@@ -471,7 +471,7 @@ where
 impl<T: Serialize, S> Serialize for HashSet<T, S> {
     fn __to_value(&self) -> Value {
         let mut rendered: Vec<Value> = self.iter().map(Serialize::__to_value).collect();
-        rendered.sort_by_key(|v| render(v));
+        rendered.sort_by_cached_key(render);
         Value::Array(rendered)
     }
 }
@@ -521,16 +521,22 @@ pub fn render(v: &Value) -> String {
     out
 }
 
-fn render_into(v: &Value, out: &mut String) {
+/// Appends the compact JSON text of `v` to `out`.
+pub fn render_into(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(x) => out.push_str(&x.to_string()),
-        Value::UInt(x) => out.push_str(&x.to_string()),
+        // Writing into a `String` cannot fail.
+        Value::Int(x) => {
+            let _ = write!(out, "{x}");
+        }
+        Value::UInt(x) => {
+            let _ = write!(out, "{x}");
+        }
         Value::Float(x) => {
             if x.is_finite() {
-                out.push_str(&format!("{x:?}"))
+                let _ = write!(out, "{x:?}");
             } else {
                 out.push_str("null")
             }
@@ -561,68 +567,134 @@ fn render_into(v: &Value, out: &mut String) {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string. Runs of bytes that need
+/// no escape are copied whole; every byte that does (`"`, `\` and the
+/// C0 controls) is ASCII, so each run ends on a char boundary.
+pub fn render_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(s.get(run..i).unwrap_or_default());
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(s.get(run..).unwrap_or_default());
     out.push('"');
 }
 
 // --------------------------------------------------------- JSON decode
 
+/// The deepest array/object nesting [`parse`] accepts. The workspace's
+/// own documents (snapshots, journal records, wire lines) nest well
+/// under 20 levels; a deeper document is an [`Error`] instead of a
+/// recursion that can overflow the parsing thread's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document. Walks the UTF-8 bytes of `text`: every
+/// byte the grammar branches on is ASCII, so each string or number is
+/// a slice of `text` between two ASCII bytes.
 pub fn parse(text: &str) -> Result<Value, Error> {
-    let bytes: Vec<char> = text.chars().collect();
-    let mut p = Parser { chars: &bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.chars.len() {
+    if p.pos != p.bytes.len() {
         return err("trailing characters");
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    chars: &'a [char],
+    text: &'a str,
+    bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_le_bytes([1; 8]);
+/// `0x80` in every byte of a word.
+const HIGHS: u64 = ONES << 7;
+
+/// Flags (with `0x80`) the lowest zero byte of `word`; bytes above it
+/// may be flagged spuriously, so only the lowest flag is exact.
+fn zero_bytes(word: u64) -> u64 {
+    word.wrapping_sub(ONES) & !word & HIGHS
+}
+
+/// The index of the first `"` or `\` in `bytes` at or after `from`
+/// (`bytes.len()` if there is none), tested eight bytes at a time.
+fn string_special(bytes: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..).and_then(|rest| rest.first_chunk::<8>()) {
+        let word = u64::from_le_bytes(*chunk);
+        let hits =
+            zero_bytes(word ^ (ONES * b'"' as u64)) | zero_bytes(word ^ (ONES * b'\\' as u64));
+        if hits != 0 {
+            return i + (hits.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    let tail = bytes.get(i..).unwrap_or_default();
+    i + tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .unwrap_or(tail.len())
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
-    fn bump(&mut self) -> Result<char, Error> {
-        let c = self.peek().ok_or_else(|| Error("unexpected end".into()))?;
+    fn bump(&mut self) -> Result<u8, Error> {
+        let b = self.peek().ok_or_else(|| Error("unexpected end".into()))?;
         self.pos += 1;
-        Ok(c)
+        Ok(b)
+    }
+
+    /// `text[start..end]`; both ends sit next to ASCII bytes.
+    fn slice(&self, start: usize, end: usize) -> Result<&'a str, Error> {
+        self.text
+            .get(start..end)
+            .ok_or_else(|| Error("slice splits a UTF-8 sequence".into()))
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<(), Error> {
+    fn expect(&mut self, c: u8) -> Result<(), Error> {
         if self.bump()? == c {
             Ok(())
         } else {
-            err(format!("expected `{c}`"))
+            err(format!("expected `{}`", c as char))
         }
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        for c in word.chars() {
+        for c in word.bytes() {
             self.expect(c)?;
         }
         Ok(value)
@@ -631,54 +703,77 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek().ok_or_else(|| Error("unexpected end".into()))? {
-            'n' => self.literal("null", Value::Null),
-            't' => self.literal("true", Value::Bool(true)),
-            'f' => self.literal("false", Value::Bool(false)),
-            '"' => Ok(Value::Str(self.string()?)),
-            '[' => self.array(),
-            '{' => self.object(),
+            b'n' => self.literal("null", Value::Null),
+            b't' => self.literal("true", Value::Bool(true)),
+            b'f' => self.literal("false", Value::Bool(false)),
+            b'"' => Ok(Value::Str(self.string()?)),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             _ => self.number(),
         }
     }
 
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
     fn string(&mut self) -> Result<String, Error> {
-        self.expect('"')?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let end = string_special(self.bytes, self.pos);
+            out.push_str(self.slice(self.pos, end)?);
+            self.pos = end;
             match self.bump()? {
-                '"' => return Ok(out),
-                '\\' => match self.bump()? {
-                    '"' => out.push('"'),
-                    '\\' => out.push('\\'),
-                    '/' => out.push('/'),
-                    'n' => out.push('\n'),
-                    'r' => out.push('\r'),
-                    't' => out.push('\t'),
-                    'b' => out.push('\u{8}'),
-                    'f' => out.push('\u{c}'),
-                    'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            code = code * 16
-                                + self
-                                    .bump()?
-                                    .to_digit(16)
-                                    .ok_or_else(|| Error("bad \\u escape".into()))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return err(format!("bad escape `\\{other}`")),
-                },
-                c => out.push(c),
+                b'"' => return Ok(out),
+                _ => self.escape(&mut out)?,
             }
         }
     }
 
+    /// Decodes the escape after a `\` into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        let c = match self.bump()? {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let mut code = 0u32;
+                for _ in 0..4 {
+                    code = code * 16
+                        + char::from(self.bump()?)
+                            .to_digit(16)
+                            .ok_or_else(|| Error("bad \\u escape".into()))?;
+                }
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => {
+                let other = self.text.get(self.pos - 1..).and_then(|s| s.chars().next());
+                return err(format!("bad escape `\\{}`", other.unwrap_or('\u{fffd}')));
+            }
+        };
+        out.push(c);
+        Ok(())
+    }
+
     fn array(&mut self) -> Result<Value, Error> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(']') {
+        if self.peek() == Some(b']') {
             self.pos += 1;
             return Ok(Value::Array(items));
         }
@@ -686,18 +781,18 @@ impl Parser<'_> {
             items.push(self.value()?);
             self.skip_ws();
             match self.bump()? {
-                ',' => continue,
-                ']' => return Ok(Value::Array(items)),
+                b',' => continue,
+                b']' => return Ok(Value::Array(items)),
                 _ => return err("expected `,` or `]`"),
             }
         }
     }
 
     fn object(&mut self) -> Result<Value, Error> {
-        self.expect('{')?;
+        self.expect(b'{')?;
         let mut m = Map::new();
         self.skip_ws();
-        if self.peek() == Some('}') {
+        if self.peek() == Some(b'}') {
             self.pos += 1;
             return Ok(Value::Object(m));
         }
@@ -705,13 +800,13 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(':')?;
+            self.expect(b':')?;
             let value = self.value()?;
             m.insert(key, value);
             self.skip_ws();
             match self.bump()? {
-                ',' => continue,
-                '}' => return Ok(Value::Object(m)),
+                b',' => continue,
+                b'}' => return Ok(Value::Object(m)),
                 _ => return err("expected `,` or `}`"),
             }
         }
@@ -721,18 +816,20 @@ impl Parser<'_> {
         let start = self.pos;
         while matches!(
             self.peek(),
-            Some('0'..='9' | '-' | '+' | '.' | 'e' | 'E')
+            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
         ) {
             self.pos += 1;
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
+        let text = self.slice(start, self.pos)?;
         if text.is_empty() {
             return err("expected number");
         }
         if !text.contains(['.', 'e', 'E']) {
             if let Some(rest) = text.strip_prefix('-') {
                 if let Ok(x) = rest.parse::<i128>() {
-                    return Ok(Value::Int(-x));
+                    // `x` is `i128::MIN` only after a doubled sign
+                    // (`--170…728`); its wrapping negation is itself.
+                    return Ok(Value::Int(x.wrapping_neg()));
                 }
             } else if let Ok(x) = text.parse::<u128>() {
                 return Ok(Value::UInt(x));

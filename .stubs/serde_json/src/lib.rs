@@ -31,28 +31,27 @@ pub fn from_value<T: for<'any> serde::Deserialize<'any>>(v: Value) -> Result<T> 
     T::__from_value(&v)
 }
 
+/// Appends the two-space-indented JSON text of `v` at nesting `indent`.
 fn pretty(v: &Value, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent + 1);
-    let close = "  ".repeat(indent);
     match v {
         Value::Array(items) if !items.is_empty() => {
             out.push_str("[\n");
             for (i, item) in items.iter().enumerate() {
-                out.push_str(&pad);
+                pad(indent + 1, out);
                 pretty(item, indent + 1, out);
                 if i + 1 < items.len() {
                     out.push(',');
                 }
                 out.push('\n');
             }
-            out.push_str(&close);
+            pad(indent, out);
             out.push(']');
         }
         Value::Object(m) if !m.is_empty() => {
             out.push_str("{\n");
             for (i, (k, item)) in m.iter().enumerate() {
-                out.push_str(&pad);
-                out.push_str(&serde::render(&Value::Str(k.clone())));
+                pad(indent + 1, out);
+                serde::render_string(k, out);
                 out.push_str(": ");
                 pretty(item, indent + 1, out);
                 if i + 1 < m.len() {
@@ -60,9 +59,15 @@ fn pretty(v: &Value, indent: usize, out: &mut String) {
                 }
                 out.push('\n');
             }
-            out.push_str(&close);
+            pad(indent, out);
             out.push('}');
         }
-        other => out.push_str(&serde::render(other)),
+        other => serde::render_into(other, out),
+    }
+}
+
+fn pad(indent: usize, out: &mut String) {
+    for _ in 0..indent {
+        out.push_str("  ");
     }
 }

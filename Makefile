@@ -237,9 +237,11 @@ smoke-resume:
 	grep -q '^error: ' .journals/smoke/failing.log
 	rm -rf .journals/smoke
 
-# Service-mode smoke test: start a server on an ephemeral port, issue
-# `run` + `report` + `shutdown` over the wire, and require the
-# wire-delivered snapshot to be byte-identical to a batch
+# Service-mode smoke test: start a server on an ephemeral port, send it
+# one request line of 64 KiB of `[` (nested past the JSON parser's depth
+# bound, so it must get an `"ok":false` line back), then issue `run` +
+# `report` + `shutdown` over the wire through the same server, and
+# require the wire-delivered snapshot to be byte-identical to a batch
 # `--snapshot-json` run of the same (scale, seed) — the batch/service
 # equivalence the RunSpec layer guarantees.
 smoke-serve: build
@@ -249,6 +251,12 @@ smoke-serve: build
 		--port-file .journals/smoke-serve/port 2> .journals/smoke-serve/serve.log & \
 	server=$$!; \
 	for i in $$(seq 1 100); do [ -s .journals/smoke-serve/port ] && break; sleep 0.1; done; \
+	python3 -c 'import socket, sys; host, port = sys.argv[1].rsplit(":", 1); \
+		conn = socket.create_connection((host, int(port)), timeout=10); \
+		conn.sendall(b"[" * 65536 + b"\n"); \
+		sys.exit("\"ok\":false" not in conn.makefile().readline())' \
+		"$$(cat .journals/smoke-serve/port)" \
+		|| { kill $$server 2> /dev/null; exit 1; }; \
 	./target/release/report loadgen --addr "$$(cat .journals/smoke-serve/port)" \
 		--clients 1 --requests 1 --hot-ratio 1.0 --scale 0.02 --seed 0xBEEF \
 		--snapshot-out .journals/smoke-serve/wire.json --shutdown 2> /dev/null \

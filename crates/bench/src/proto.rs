@@ -134,9 +134,15 @@ fn int_field<T: TryFrom<u64>>(map: &serde::Map, name: &str, default: T) -> Resul
     T::try_from(n).map_err(|_| format!("field `{name}` is out of range: {n}"))
 }
 
+/// The largest `scale` a wire request may ask for: the paper's full
+/// corpus. The CLI takes larger worlds; a server does not generate one
+/// for any client that asks.
+const MAX_WIRE_SCALE: f64 = 1.0;
+
 /// Decodes a run spec from a `run` request; every field is optional and
 /// defaults match the batch CLI's defaults. A spec that
-/// [`RunSpec::validate`] rejects is a decode error, as on the CLI.
+/// [`RunSpec::validate`] rejects is a decode error, as on the CLI, and
+/// so is a `scale` above [`MAX_WIRE_SCALE`].
 fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
     let defaults = RunSpec::default();
     let spec = RunSpec {
@@ -150,6 +156,12 @@ fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
         shards: int_field(map, "shards", defaults.shards)?,
     };
     spec.validate()?;
+    if spec.scale > MAX_WIRE_SCALE {
+        return Err(format!(
+            "`scale` must be at most {MAX_WIRE_SCALE} over the wire, got {}",
+            spec.scale
+        ));
+    }
     Ok(spec)
 }
 
@@ -283,6 +295,22 @@ mod tests {
             let e = Request::decode(line).expect_err(line);
             assert!(e.contains(&format!("`{field}`")), "{line}: {e}");
         }
+    }
+
+    /// The bound is checked at decode: no world is generated for a
+    /// refused request, and the paper's own scale still decodes.
+    #[test]
+    fn wire_scale_is_bounded_by_the_paper_scale() {
+        for line in [
+            r#"{"cmd":"run","scale":1.0000001}"#,
+            r#"{"cmd":"run","scale":1e300}"#,
+            r#"{"cmd":"advance","scale":2,"epochs":3}"#,
+        ] {
+            let e = Request::decode(line).expect_err(line);
+            assert!(e.contains("`scale` must be at most 1"), "{line}: {e}");
+        }
+        let full = Request::decode(r#"{"cmd":"run","scale":1.0}"#).expect("paper scale decodes");
+        assert!(matches!(full, Request::Run(spec) if spec.scale == MAX_WIRE_SCALE));
     }
 
     #[test]

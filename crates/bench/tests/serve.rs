@@ -2,7 +2,8 @@
 //! the full request/response lifecycle, byte-identical wire-delivered
 //! snapshots, single-flight collapse of concurrent identical runs,
 //! round trips free of Nagle/delayed-ACK stalls, the request-line
-//! bounds, and typed errors for runs the pipeline cannot finish.
+//! length and nesting bounds, and typed errors for runs the pipeline
+//! cannot finish.
 
 use ewhoring_bench::cli::ServeArgs;
 use ewhoring_bench::proto::{Request, Response};
@@ -427,6 +428,36 @@ fn oversize_and_non_utf8_lines_get_typed_errors() {
         at_bound.error_text()
     );
 
+    let down = Wire::connect(&addr).call(&Request::Shutdown);
+    assert!(down.is_ok());
+    handle.join().expect("server thread exits");
+}
+
+/// A request line nested deeper than the JSON parser's bound (64 KiB
+/// of `[`, within the line limit) gets a typed error instead of
+/// overflowing the worker's stack, and the one-worker server keeps
+/// answering on that connection and on a fresh one.
+#[test]
+fn deeply_nested_line_gets_a_typed_error_and_the_server_keeps_serving() {
+    let (_server, handle, addr) = start_server(1);
+
+    let mut wire = Wire::connect(&addr);
+    let nested = wire.send_line(&"[".repeat(MAX_REQUEST_LINE as usize));
+    assert!(!nested.is_ok());
+    assert!(
+        nested
+            .error_text()
+            .unwrap_or_default()
+            .contains("nesting deeper than"),
+        "{:?}",
+        nested.error_text()
+    );
+    let status = wire.call(&Request::Status("feed".to_string()));
+    assert_eq!(status.str_field("status"), Some("unknown"));
+    drop(wire);
+
+    let status = Wire::connect(&addr).call(&Request::Status("feed".to_string()));
+    assert_eq!(status.str_field("status"), Some("unknown"));
     let down = Wire::connect(&addr).call(&Request::Shutdown);
     assert!(down.is_ok());
     handle.join().expect("server thread exits");

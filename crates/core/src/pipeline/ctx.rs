@@ -344,6 +344,9 @@ pub struct StageCtx<'w> {
     /// from the journal) computes exactly what an uninterrupted one
     /// does. `None` only after a caller took it out.
     pub carry: Option<super::epoch::EpochCarry>,
+    /// Whether the caller reads `carry` after the run
+    /// ([`super::Pipeline::run_with_carry`]); the other run forms drop it.
+    pub(super) keeps_carry: bool,
     /// Supervision counters (shards run / restarted / quarantined);
     /// all zero on an unsharded run.
     pub supervision: super::Supervision,
@@ -477,6 +480,7 @@ impl<'w> StageCtx<'w> {
             items: 0,
             health: Vec::new(),
             carry: Some(super::epoch::EpochCarry::default()),
+            keeps_carry: false,
             supervision: super::Supervision::default(),
             extraction: None,
             all_threads: None,

@@ -7,8 +7,9 @@
 //! [`PipelineOptions`] — so journals from a different seed, scale, or
 //! severity can never be resumed by accident. A record holds the
 //! stage's artifact slots and the carry field the stage folds (the
-//! `stage_slots` table), plus its ledger entries, health events and
-//! item count. Each record carries a checksum over its exact payload
+//! `stage_slots` table; a batch run, which drops its carry, stores only
+//! the carry its own resume needs), plus its ledger entries, health
+//! events and item count. Each record carries a checksum over its exact payload
 //! bytes and is verified on load: a stale, truncated, or tampered
 //! record is *rejected* (and the stage recomputed), never silently
 //! reused.
@@ -342,8 +343,12 @@ fn decode<T: for<'any> Deserialize<'any>>(map: &serde::Map, name: &str) -> Resul
 /// carry field it folds, so capture and restore can never drift apart.
 /// `extract` folds `actors` only when its survey is sharded (§6j):
 /// without a quarantined shard's forums, so a resumed run must not fold
-/// their posts back in. `measure_images` and `safety` store less than
-/// they produce; [`restore_stage`] derives the rest.
+/// their posts back in. The other carry fields are read by no later
+/// stage, only by the next epoch or the caller, so a record stores them
+/// only if the run's carry outlives it ([`carry_outlives_run`]); the
+/// `measure_images` memo is always stored, since restore derives the
+/// measures from it. `measure_images` and `safety` store less than they
+/// produce; [`restore_stage`] derives the rest.
 macro_rules! stage_slots {
     ($on_stage:ident, $name:expr, $ctx:ident) => {
         match $name {
@@ -352,17 +357,33 @@ macro_rules! stage_slots {
                 [extraction, all_threads],
                 actors if $ctx.options.shards > 0
             ),
-            "top_classifier" => $on_stage!($ctx, [topcls, forums], topcls),
+            "top_classifier" => $on_stage!(
+                $ctx,
+                [topcls, forums],
+                topcls if carry_outlives_run($ctx)
+            ),
             "crawl" => $on_stage!($ctx, [crawl, crawl_stats]),
             "measure_images" => $on_stage!($ctx, [], measure),
             "safety" => $on_stage!($ctx, [flagged, safety]),
-            "nsfv" => $on_stage!($ctx, [nsfv_validation, previews_nsfv, funnel], nsfv),
-            "provenance" => $on_stage!($ctx, [provenance], provenance),
-            "finance" => $on_stage!($ctx, [harvest, earnings], finance),
+            "nsfv" => $on_stage!(
+                $ctx,
+                [nsfv_validation, previews_nsfv, funnel],
+                nsfv if carry_outlives_run($ctx)
+            ),
+            "provenance" => $on_stage!(
+                $ctx,
+                [provenance],
+                provenance if carry_outlives_run($ctx)
+            ),
+            "finance" => $on_stage!(
+                $ctx,
+                [harvest, earnings],
+                finance if carry_outlives_run($ctx)
+            ),
             "actors" => $on_stage!(
                 $ctx,
                 [cohorts, fig4_points, key_actors, group_profiles, interests, currency],
-                actors
+                actors if carry_outlives_run($ctx)
             ),
             other => {
                 return Err(corrupt(
@@ -372,6 +393,14 @@ macro_rules! stage_slots {
             }
         }
     };
+}
+
+/// Whether a later epoch or the caller reads the run's carry: a
+/// streamed run's records seed the next epoch, and
+/// [`super::Pipeline::run_with_carry`] hands the carry back. A batch
+/// run drops it.
+fn carry_outlives_run(ctx: &StageCtx<'_>) -> bool {
+    ctx.options.stream.is_some() || ctx.keeps_carry
 }
 
 /// Serializes the named stage's slots and carry field out of `ctx` into
@@ -444,8 +473,14 @@ fn restore_stage(
                     $(let $slot = decode(map, stringify!($slot))?;)*
                     // The carry decodes last, before the one write
                     // that cannot fail (the carry is there, see above).
-                    $(if map.get(CARRY).is_some() {
-                        carry_mut(&mut $c.carry)?.$carry = decode(map, CARRY)?;
+                    // A record without one (its writer dropped the
+                    // carry) cannot resume a run that hands it back.
+                    $(match map.get(CARRY) {
+                        Some(_) => carry_mut(&mut $c.carry)?.$carry = decode(map, CARRY)?,
+                        None if $c.keeps_carry $(&& $when)? => {
+                            return Err(corrupt(CARRY, "carry missing from journal record"))
+                        }
+                        None => {}
                     })?
                     $($c.$slot = Some($slot);)*
                 }};
@@ -460,7 +495,7 @@ fn restore_stage(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::pipeline::Pipeline;
+    use crate::pipeline::{EpochCarry, Pipeline, TimingSource};
     use rand::Rng;
     use worldgen::World;
 
@@ -593,6 +628,46 @@ mod tests {
             flipped[offset] ^= 1 << bit;
             check(&flipped, &format!("bit {bit} flipped at {offset}"));
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A batch run drops its carry, so its records hold none beyond the
+    /// `measure_images` memo. A run that hands its carry back does not
+    /// take those records for its own: it recomputes from the first
+    /// carry-less stage on, and returns the carry a journal-free run
+    /// does.
+    #[test]
+    fn batch_records_hold_no_carry_a_carry_keeping_run_would_miss() {
+        let world = World::generate(WorldConfig::test_scale(0xCA77));
+        let dir = tmp_dir("batch-carry");
+        let options = options(0xCA77);
+        Pipeline::new(options).run_resumable(&world, &dir).unwrap();
+        let journal = Journal::open(&dir, &world.config, &options).unwrap();
+        for (index, stage) in Pipeline::stages().iter().enumerate() {
+            let record = journal.load(index, stage.name()).unwrap().expect("a hit");
+            let has_carry = record.artifacts.as_object().unwrap().get(CARRY).is_some();
+            assert_eq!(
+                has_carry,
+                stage.name() == "measure_images",
+                "{}",
+                stage.name()
+            );
+        }
+        let run = |journal| {
+            let (report, carry) = Pipeline::new(options)
+                .run_with_carry(&world, EpochCarry::default(), journal)
+                .unwrap();
+            (report, serde_json::to_string(&carry).unwrap())
+        };
+        let (report, carry) = run(Some(&journal));
+        let loaded: Vec<_> = report
+            .timings
+            .iter()
+            .filter(|t| t.source == TimingSource::Journal && t.stage != "journal")
+            .map(|t| t.stage.as_str())
+            .collect();
+        assert_eq!(loaded, ["extract"]);
+        assert_eq!(carry, run(None).1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -395,6 +395,7 @@ impl Pipeline {
     ) -> Result<(PipelineReport, EpochCarry), StageError> {
         let mut ctx = StageCtx::new(world, self.options);
         ctx.carry = Some(carry);
+        ctx.keeps_carry = true;
         let mut ctx = Self::drive(ctx, usize::MAX, journal)?;
         let carry = ctx
             .carry
